@@ -1,58 +1,274 @@
-"""Search-kernel backend selection.
+"""Search kernels: the list-coloring backtracker and the Hamiltonian-cycle search.
 
-The hot loops live twice: ``colorlab._kernels`` is a compiled Cython module,
-``colorlab._kernels_py`` is the pure-Python reference.  Both implement the
-identical algorithm, so everything above this layer is backend-agnostic.  At
-import time we prefer the compiled module and fall back to the reference;
-set ``COLORLAB_PURE=1`` to force the reference (useful for debugging and for
-timing comparisons).
+Both searches are explicit-stack loops, so their depth is bounded by memory,
+not by the interpreter's recursion limit.
+
+List-coloring search
+    Domains are bit masks over palette indices.  Variable order is minimum
+    remaining values with ties broken by vertex index; colors are tried in
+    ascending bit order.  Assigning a color removes it from unassigned
+    neighbors (forward checking, one propagation counted per removal);
+    domains that collapse to a single color are assigned from a FIFO queue
+    (unit propagation).  A search node is one color tried at a decision
+    vertex; forced assignments are not nodes.
+
+    Decision mode additionally backjumps on conflicts: every removal records
+    the vertex that caused it, forced assignments record the decision
+    vertices they descend from, and when a subtree is refuted without
+    involving the decision vertex at its root, the remaining colors of that
+    vertex are skipped (they fail for the same reason).  Backjumping changes
+    node counts only, never the verdict or the first witness found, and is
+    disabled for counting and enumeration, which must visit every solution.
+
+Hamiltonian search
+    Depth-first path extension from vertex 0 with three prunes: the
+    unvisited vertices must induce a connected subgraph, every unvisited
+    vertex must retain at least two usable cycle partners (unvisited
+    neighbors, the path endpoint, or vertex 0), and a partner count of
+    exactly two that includes the endpoint forces the next edge (two such
+    forced edges at once is a dead end).  A node is one attempted extension.
 """
 
 from __future__ import annotations
 
-import os
+# Name of the kernel, reported in benchmark run metadata.
+BACKEND_NAME = "python"
 
-from colorlab import _kernels_py
+UNSAT, SAT, EXHAUSTED = 0, 1, 2
+_NONE, _FOUND, _BUDGET = 0, 1, 2
 
-
-def _pick():
-    if os.environ.get("COLORLAB_PURE"):
-        return _kernels_py
-    try:
-        from colorlab import _kernels  # noqa: PLC0415
-
-        return _kernels
-    except ImportError:
-        return _kernels_py
+MODE_DECIDE, MODE_COUNT, MODE_ENUM = 0, 1, 2
 
 
-_impl = _pick()
+def solve_colors(n, adj, domains, budget, mode, on_solution=None):
+    """Run the list-coloring search on an indexed instance.
 
-BACKEND_NAME: str = _impl.BACKEND_NAME
-
-UNSAT: int = _impl.UNSAT
-SAT: int = _impl.SAT
-EXHAUSTED: int = _impl.EXHAUSTED
-
-MODE_DECIDE: int = _impl.MODE_DECIDE
-MODE_COUNT: int = _impl.MODE_COUNT
-MODE_ENUM: int = _impl.MODE_ENUM
-
-solve_colors = _impl.solve_colors
-hamilton_cycle = _impl.hamilton_cycle
-
-
-def available_backends() -> dict:
-    """Importable kernel modules, keyed by backend name.
-
-    Always contains ``"python"``; contains ``"cython"`` too when the
-    compiled extension built.  Used by the parity tests and the benchmark.
+    adj: list of sorted neighbor-index lists; domains: list of bit masks.
+    Returns (status, witness, nodes, propagations, count) where witness is
+    a tuple of bit indices (decide mode, SAT only) and count is the number
+    of proper colorings seen (exact unless status is EXHAUSTED).
     """
-    found = {_kernels_py.BACKEND_NAME: _kernels_py}
-    try:
-        from colorlab import _kernels  # noqa: PLC0415
+    dom = list(domains)
+    color = [-1] * n
+    decision = [False] * n
+    reason = [0] * n  # for forced vertices: bit set of responsible decisions
+    rem = [[] for _ in range(n)]  # active removals per vertex: (bit, culprit)
+    atrail: list[int] = []  # assigned vertices, in assignment order
+    rtrail: list[tuple[int, int]] = []  # (vertex, removed bit)
+    pending: list[int] = []  # FIFO of forced (singleton-domain) vertices
+    props = 0
+    # The set of decisions (bit per vertex) that the latest refutation
+    # depended on: set by a domain wipe-out or by a node whose colors all
+    # failed, read by the node above it.
+    jump = 0
 
-        found[_kernels.BACKEND_NAME] = _kernels
-    except ImportError:
-        pass
-    return found
+    def culprits(v: int) -> int:
+        out = 0
+        for _bit, x in rem[v]:
+            out |= (1 << x) if decision[x] else reason[x]
+        return out
+
+    def assign(v: int, bit: int, forced: bool) -> bool:
+        nonlocal props, jump
+        if forced:
+            reason[v] = culprits(v)
+        color[v] = bit
+        atrail.append(v)
+        for u in adj[v]:
+            if color[u] < 0 and dom[u] & bit:
+                dom[u] &= ~bit
+                rtrail.append((u, bit))
+                rem[u].append((bit, v))
+                props += 1
+                if dom[u] == 0:
+                    jump = culprits(u)
+                    return False
+                if dom[u] & (dom[u] - 1) == 0:
+                    pending.append(u)
+        return True
+
+    def run_queue() -> bool:
+        head = 0
+        while head < len(pending):
+            u = pending[head]
+            head += 1
+            if color[u] < 0 and not assign(u, dom[u], True):
+                return False
+        return True
+
+    def undo(amark: int, rmark: int) -> None:
+        pending.clear()
+        while len(rtrail) > rmark:
+            u, b = rtrail.pop()
+            dom[u] |= b
+            rem[u].pop()
+        while len(atrail) > amark:
+            w = atrail.pop()
+            color[w] = -1
+            decision[w] = False
+
+    if any(d == 0 for d in dom):
+        return (UNSAT, None, 0, 0, 0)
+    for v in range(n):
+        if dom[v] & (dom[v] - 1) == 0:
+            pending.append(v)
+    if not run_queue():
+        return (UNSAT, None, 0, props, 0)
+    pending.clear()
+
+    nodes = count = 0
+    # One frame per decision vertex on the current path:
+    # [vertex, conflict set, colors left to try, atrail mark, rtrail mark].
+    # The conflict set starts from the decisions that already pruned the
+    # vertex's domain (a completion could otherwise revive a pruned color),
+    # then absorbs the refutation of every color tried below.
+    stack: list[list[int]] = []
+    # True when the top frame's latest color was refuted (or, when counting,
+    # its subtree finished) and the frame must take that result in.
+    returned = False
+    while True:
+        if returned:
+            if not stack:
+                break
+            frame = stack[-1]
+            vbit = 1 << frame[0]
+            undo(frame[3], frame[4])
+            # jump holds the set of decisions the refutation of this color
+            # depended on; if the vertex is not among them, its remaining
+            # colors fail identically and the conflict belongs to an
+            # ancestor (decide mode only -- counting must visit everything).
+            if mode == MODE_DECIDE and not jump & vbit:
+                stack.pop()
+                continue
+            frame[1] |= jump & ~vbit
+        elif len(atrail) == n:
+            count += 1
+            if mode == MODE_DECIDE:
+                return (SAT, tuple(color), nodes, props, count)
+            if mode == MODE_ENUM:
+                on_solution(tuple(color))
+            returned = True
+            continue
+        else:
+            best, best_size = -1, 65
+            for v in range(n):
+                if color[v] < 0:
+                    size = dom[v].bit_count()
+                    if size < best_size:
+                        best, best_size = v, size
+            frame = [best, culprits(best), dom[best], 0, 0]
+            stack.append(frame)
+        mask = frame[2]
+        if not mask:
+            jump = frame[1]
+            stack.pop()
+            returned = True
+            continue
+        if nodes >= budget:
+            return (EXHAUSTED, None, nodes, props, count)
+        nodes += 1
+        v = frame[0]
+        bit = mask & -mask
+        frame[2] = mask ^ bit
+        frame[3], frame[4] = len(atrail), len(rtrail)
+        pending.clear()
+        decision[v] = True
+        returned = not (assign(v, bit, False) and run_queue())
+    return (SAT if count > 0 else UNSAT, None, nodes, props, count)
+
+
+def hamilton_cycle(n, adj, budget):
+    """Search for a Hamiltonian cycle through vertex 0.
+
+    Returns (status, cycle, nodes): status 1 with the vertex sequence if a
+    cycle was found, 0 if the pruned search space was exhausted without one,
+    2 if the node budget ran out.
+    """
+    if n < 3:
+        return (_NONE, None, 0)
+    adjset = [set(nbrs) for nbrs in adj]
+    if any(len(nbrs) < 2 for nbrs in adj):
+        return (_NONE, None, 0)
+    visited = [False] * n
+    visited[0] = True
+    path = [0]
+    scratch = [0] * n
+
+    def unvisited_connected() -> bool:
+        first = -1
+        remaining = 0
+        for v in range(n):
+            if not visited[v]:
+                remaining += 1
+                if first < 0:
+                    first = v
+        if remaining == 0:
+            return True
+        seen = [False] * n
+        seen[first] = True
+        scratch[0] = first
+        head, tail = 0, 1
+        reached = 1
+        while head < tail:
+            u = scratch[head]
+            head += 1
+            for w in adj[u]:
+                if not visited[w] and not seen[w]:
+                    seen[w] = True
+                    scratch[tail] = w
+                    tail += 1
+                    reached += 1
+        return reached == remaining
+
+    def candidates(u: int) -> list[int]:
+        """The extensions of a path ending at u, in order; [] if pruned."""
+        if not unvisited_connected():
+            return []
+        if not any(not visited[w] for w in adj[u]):
+            return []
+        if not any(not visited[w] for w in adj[0]):
+            return []
+        forced = -1
+        nforced = 0
+        for w in range(n):
+            if visited[w]:
+                continue
+            avail = 0
+            for x in adj[w]:
+                if not visited[x]:
+                    avail += 1
+            if u in adjset[w]:
+                avail += 1
+            if u != 0 and 0 in adjset[w]:
+                avail += 1
+            if avail < 2:
+                return []
+            if avail == 2 and u != 0 and u in adjset[w]:
+                nforced += 1
+                if nforced >= 2:
+                    return []
+                forced = w
+        return [forced] if nforced == 1 else [w for w in adj[u] if not visited[w]]
+
+    nodes = 0
+    # One iterator per path vertex over the extensions still to try from it.
+    stack = [iter(candidates(0))]
+    while stack:
+        w = next(stack[-1], -1)
+        if w < 0:
+            stack.pop()
+            if stack:
+                visited[path.pop()] = False
+            continue
+        if nodes >= budget:
+            return (_BUDGET, None, nodes)
+        nodes += 1
+        visited[w] = True
+        path.append(w)
+        if len(path) == n:
+            if 0 in adjset[w]:
+                return (_FOUND, list(path), nodes)
+            stack.append(iter(()))
+        else:
+            stack.append(iter(candidates(w)))
+    return (_NONE, None, nodes)

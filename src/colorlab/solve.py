@@ -1,6 +1,6 @@
 """Exact list-coloring solves: decide, count, enumerate, verify, CNF export.
 
-The search itself lives in the kernel backends (see ``colorlab.engine``);
+The search itself lives in the kernel module ``colorlab.engine``;
 this module translates between structured graphs and the kernels' indexed
 form, packages results with the budget used (for reproducibility), and
 provides the independent witness checker plus a CNF export channel for
@@ -19,8 +19,9 @@ from colorlab.graph import Graph, GraphError, VertexId
 
 DEFAULT_BUDGET = 10**7
 
-# Domains are bit masks in a machine word; a larger palette is almost
-# certainly a caller bug and would silently overflow the compiled kernel.
+# The kernel's minimum-remaining-values scan starts from the sentinel
+# best_size = 65, so a vertex whose domain holds more than 64 colors could
+# never be chosen for branching.
 MAX_PALETTE = 64
 
 _STATUS = {engine.UNSAT: "UNSAT", engine.SAT: "SAT", engine.EXHAUSTED: "EXHAUSTED"}

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Optional
 from colorlab import __version__
 from colorlab.build import ListAssignment, canonical_lists, mirzakhani
 from colorlab.choose import verify_not_choosable
-from colorlab.engine import BACKEND_NAME, EXHAUSTED, SAT, hamilton_cycle
+from colorlab.engine import EXHAUSTED, SAT, hamilton_cycle
 from colorlab.graph import (
     Graph,
     GraphError,
@@ -592,6 +592,6 @@ def audit(
     )
     return AuditReport(
         claims=claims,
-        versions={"package": __version__, "backend": BACKEND_NAME},
+        versions={"package": __version__},
         budgets={"solve": solve_budget, "hamilton": hamilton_budget},
     )
