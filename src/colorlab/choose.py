@@ -117,18 +117,25 @@ def choosability_exhaustive(
             rows_cache[used] = _canonical_rows(k, used, len(colors))
         return rows_cache[used]
 
-    chosen: list[tuple[int, ...]] = []
+    def assignments():
+        # Lexicographic depth-first order on an explicit stack: one frame
+        # (row iterator, highest color used before it) per assigned vertex.
+        chosen: list[tuple[int, ...]] = []
+        stack = [(iter(rows_for(0)), 0)]
+        while stack:
+            rows, used = stack[-1]
+            del chosen[len(stack) - 1 :]
+            row = next(rows, None)
+            if row is None:
+                stack.pop()
+            elif len(chosen) + 1 == n:
+                yield (*chosen, row)
+            else:
+                chosen.append(row)
+                used = max(used, row[-1]) if symmetry else 0
+                stack.append((iter(rows_for(used)), used))
 
-    def assignments(i: int, used: int):
-        if i == n:
-            yield tuple(chosen)
-            return
-        for row in rows_for(used):
-            chosen.append(row)
-            yield from assignments(i + 1, max(used, row[-1]) if symmetry else used)
-            chosen.pop()
-
-    for rows in assignments(0, 0):
+    for rows in assignments() if n else [()]:
         lists = make_lists(
             colors, {v: tuple(colors[c - 1] for c in row) for v, row in zip(order, rows)}
         )

@@ -24,13 +24,8 @@ from colorlab.build import (
     wheel4,
     wheel_lists,
 )
-from colorlab.choose import (
-    choosability_exhaustive,
-    default_pool,
-    random_probe,
-    verify_not_choosable,
-)
-from colorlab.graph import Graph, GraphError, delete_vertices, is_connected
+from colorlab.choose import choosability_exhaustive, default_pool, random_probe
+from colorlab.graph import Graph, GraphError
 from colorlab.proof import forcing_families, gadget_lemma, theorem_replay
 from colorlab.solve import (
     DEFAULT_BUDGET,
@@ -40,22 +35,25 @@ from colorlab.solve import (
     to_cnf,
 )
 from colorlab.verify import (
+    DEFAULT_BUDGETS,
     DEFAULT_HAMILTON_BUDGET,
-    apex_embed,
     audit,
-    check_hamiltonian_cycle,
-    check_matching,
-    cut_certificate,
-    face_census,
-    hamilton,
-    perfect_matching,
-    rotation_from_layout,
+    not_choosable_claim,
+    run_claim,
 )
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+# `verify` flag -> the registered claim it runs.
+VERIFY_CLAIMS = {
+    "planarity": "planarity",
+    "hamilton": "hamiltonian",
+    "cut": "apex-deleted-not-hamiltonian",
+    "matching": "apex-deleted-perfect-matching",
+}
 
 
 def _parse_pool(text: str) -> tuple[int, ...]:
@@ -155,12 +153,9 @@ def _cmd_choosability(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     if args.witness:
         lists = _load_lists(args.witness)
-        verdict = verify_not_choosable(g, lists, args.k, budget=args.budget)
-        payload = {"verdict": verdict.kind, "nodes": verdict.nodes}
-        if verdict.reason:
-            payload["reason"] = verdict.reason
+        ok, payload = not_choosable_claim(g, lists, args.k, args.budget)
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
-        return EXIT_OK if verdict.kind == "WitnessConfirmed" else EXIT_FAIL
+        return EXIT_OK if ok else EXIT_FAIL
     if args.probe:
         pool = args.pool if args.pool else default_pool(args.k)
         report = random_probe(
@@ -191,97 +186,22 @@ def _cmd_choosability(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    picked = [
-        name
-        for name, flag in (
-            ("planarity", args.planarity),
-            ("hamilton", args.hamilton),
-            ("cut", args.cut),
-            ("matching", args.matching),
-        )
-        if flag
-    ]
-    if not picked:
-        picked = ["planarity", "hamilton", "cut", "matching"]
-    apexes = [v for v in g.vertices if v.kind == "apex"]
-    inner = delete_vertices(g, apexes) if apexes else g
-    results: dict[str, dict] = {}
-    budget_hit = False
-
-    if "planarity" in picked:
-        try:
-            rot = apex_embed(g) if apexes else rotation_from_layout(g)
-            census = face_census(rot)
-            results["planarity"] = {
-                "euler": census.euler,
-                "faces": census.f,
-                "connected": is_connected(g),
-                "pass": census.euler == 2 and is_connected(g),
-            }
-        except GraphError as exc:
-            results["planarity"] = {"error": str(exc), "pass": False}
-
-    if "hamilton" in picked:
-        res = hamilton(g, budget=args.hamilton_budget)
-        entry = {"status": res.status, "nodes": res.nodes, "pass": False}
-        if res.status == "FOUND":
-            problems = check_hamiltonian_cycle(g, res.cycle)
-            entry["cycle"] = [str(v) for v in res.cycle]
-            entry["replay"] = problems or "valid"
-            entry["pass"] = not problems
-        elif res.status == "EXHAUSTED":
-            budget_hit = True
-        results["hamilton"] = entry
-
-    if "cut" in picked:
-        # The construction's canonical cut: on the apex-deleted graph,
-        # delete the degree-7 vertices and count components.
-        s = [v for v in inner.vertices if inner.degree(v) == 7]
-        if not s:
-            results["cut"] = {"error": "no degree-7 vertices to cut", "pass": False}
-        else:
-            cert = cut_certificate(inner, s)
-            results["cut"] = {
-                "cut_size": len(cert.cut),
-                "components_after": cert.components_after,
-                "non_hamiltonian": cert.non_hamiltonian,
-                "pass": cert.non_hamiltonian,
-            }
-
-    if "matching" in picked:
-        res = perfect_matching(inner)
-        if res.matching is None:
-            results["matching"] = {"reason": res.reason, "pass": False}
-        else:
-            problems = check_matching(inner, res.matching)
-            results["matching"] = {
-                "size": res.size,
-                "matching": [f"{u} -- {v}" for u, v in res.matching],
-                "replay": problems or "valid",
-                "pass": not problems,
-            }
-
+    picked = [f for f in VERIFY_CLAIMS if getattr(args, f)] or list(VERIFY_CLAIMS)
+    budgets = dict(DEFAULT_BUDGETS, hamilton=args.hamilton_budget)
+    results = {}
+    for flag in picked:
+        ok, cert = run_claim(VERIFY_CLAIMS[flag], g, budgets=budgets)
+        results[flag] = {**cert, "pass": ok}
     _emit(json.dumps(results, indent=2, sort_keys=True), args.out)
-    if budget_hit:
+    if results.get("hamilton", {}).get("status") == "EXHAUSTED":
         return EXIT_BUDGET
-    return EXIT_OK if all(r.get("pass") for r in results.values()) else EXIT_FAIL
+    return EXIT_OK if all(r["pass"] for r in results.values()) else EXIT_FAIL
 
 
 def _cmd_prove(args: argparse.Namespace) -> int:
     if args.section is not None:
         lemma = gadget_lemma(args.section, budget=args.budget)
-        payload = {
-            "section": lemma.section,
-            "passed": lemma.passed,
-            "reduced": {"status": lemma.reduced_status, "nodes": lemma.reduced_nodes},
-            "unreduced": {
-                "status": lemma.unreduced_status,
-                "nodes": lemma.unreduced_nodes,
-            },
-        }
-        if lemma.reason:
-            payload["reason"] = lemma.reason
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
+        _emit(json.dumps(lemma.to_dict(), indent=2, sort_keys=True), args.out)
         if "EXHAUSTED" in (lemma.reduced_status, lemma.unreduced_status):
             return EXIT_BUDGET
         return EXIT_OK if lemma.passed else EXIT_FAIL
@@ -378,10 +298,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="structural certificates")
     p.add_argument("--graph", required=True)
-    p.add_argument("--planarity", action="store_true")
-    p.add_argument("--hamilton", action="store_true")
-    p.add_argument("--cut", action="store_true")
-    p.add_argument("--matching", action="store_true")
+    for flag in VERIFY_CLAIMS:
+        p.add_argument(f"--{flag}", action="store_true")
     p.add_argument("--hamilton-budget", type=_positive, default=DEFAULT_HAMILTON_BUDGET)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)

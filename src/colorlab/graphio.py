@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from colorlab.build import ListAssignment, make_lists
-from colorlab.graph import Graph, GraphError, VertexId, make_graph, parse_vertex
+from colorlab.graph import Graph, GraphError, VertexId, make_graph, parse_vertex, plain
 from colorlab.solve import CnfDocument
 
 Coord = Union[int, Fraction]
@@ -25,10 +25,21 @@ def _coord_out(x: Coord):
 def _coord_in(x) -> Coord:
     if isinstance(x, str):
         num, _, den = x.partition("/")
-        return Fraction(int(num), int(den or "1"))
+        try:
+            return Fraction(int(num), int(den or "1"))
+        except (ValueError, ZeroDivisionError):
+            raise GraphError(f"layout coordinate {x!r} is not a fraction") from None
     if isinstance(x, int):
         return x
     raise GraphError(f"layout coordinate {x!r} is not exact")
+
+
+def _expect(x, kind: type, what: str, size: Optional[int] = None, item=object):
+    """x itself when it is a `kind` of `item`s (exactly `size` of them, if given)."""
+    ok = isinstance(x, kind) and size in (None, len(x))
+    if not ok or not all(isinstance(c, item) for c in x):
+        raise GraphError(f"malformed {what}: {x!r}")
+    return x
 
 
 # ---------------------------------------------------------------- JSON
@@ -51,17 +62,21 @@ def graph_to_json(g: Graph) -> str:
 def graph_from_json(text: str) -> Graph:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GraphError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "vertices" not in payload:
         raise GraphError("graph JSON must be an object with a 'vertices' key")
-    vertices = [parse_vertex(s) for s in payload["vertices"]]
-    edges = [(parse_vertex(a), parse_vertex(b)) for a, b in payload.get("edges", [])]
+    ids = _expect(payload["vertices"], list, "vertices", item=str)
+    vertices = [parse_vertex(s) for s in ids]
+    edges = [
+        tuple(parse_vertex(s) for s in _expect(e, list, "edge", 2, item=str))
+        for e in _expect(payload.get("edges", []), list, "edges")
+    ]
     layout = None
     if "layout" in payload:
         layout = {
-            parse_vertex(s): (_coord_in(xy[0]), _coord_in(xy[1]))
-            for s, xy in payload["layout"].items()
+            parse_vertex(s): tuple(_coord_in(x) for x in _expect(xy, list, "point", 2))
+            for s, xy in _expect(payload["layout"], dict, "layout").items()
         }
     return make_graph(vertices, edges, layout)
 
@@ -77,14 +92,16 @@ def lists_to_json(lists: ListAssignment) -> str:
 def lists_from_json(text: str) -> ListAssignment:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GraphError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "palette" not in payload or "lists" not in payload:
         raise GraphError("list JSON must be an object with 'palette' and 'lists'")
-    return make_lists(
-        payload["palette"],
-        {parse_vertex(s): cs for s, cs in payload["lists"].items()},
-    )
+    palette = _expect(payload["palette"], list, "palette", item=int)
+    lists = {
+        parse_vertex(s): _expect(cs, list, f"list of {s}", item=int)
+        for s, cs in _expect(payload["lists"], dict, "lists").items()
+    }
+    return make_lists(palette, lists)
 
 
 # ---------------------------------------------------------------- DIMACS .col
@@ -114,18 +131,19 @@ def graph_from_dimacs(text: str) -> Graph:
         if not parts:
             continue
         if parts[0] == "c":
-            if len(parts) == 3 and parts[1].isdigit():
+            if len(parts) == 3 and parts[1].isdecimal():
                 try:
                     names[int(parts[1])] = parse_vertex(parts[2])
                 except GraphError:
                     pass
             continue
+        numeric = all(p.isdecimal() for p in parts[-2:])
         if parts[0] == "p":
-            if len(parts) != 4 or parts[1] != "edge":
+            if len(parts) != 4 or parts[1] != "edge" or not numeric:
                 raise GraphError(f"line {lineno}: malformed problem line")
             n, m = int(parts[2]), int(parts[3])
         elif parts[0] == "e":
-            if len(parts) != 3:
+            if len(parts) != 3 or not numeric:
                 raise GraphError(f"line {lineno}: malformed edge line")
             raw_edges.append((int(parts[1]), int(parts[2])))
         else:
@@ -138,8 +156,6 @@ def graph_from_dimacs(text: str) -> Graph:
     def ident(i: int) -> VertexId:
         if not 1 <= i <= n:
             raise GraphError(f"vertex index {i} out of range 1..{n}")
-        from colorlab.graph import plain
-
         return names.get(i, plain(i))
 
     vertices = [ident(i) for i in range(1, n + 1)]

@@ -30,7 +30,7 @@ from colorlab.build import (
 )
 from colorlab.graph import Graph, GraphError, VertexId, corner, delete_vertices, hub
 from colorlab.solve import DEFAULT_BUDGET, decide, enumerate_colorings, verify_coloring
-from colorlab.verify import apex_embed, face_census
+from colorlab.verify import run_claim
 
 # The central wheel of the gadget and its corners in (u, v, w, x) =
 # (nw, ne, se, sw) order; their lists forbid 3, 2, 4, 5 respectively.
@@ -120,6 +120,15 @@ class GadgetLemma:
     unreduced_nodes: int
     counterexample: Optional[dict[VertexId, int]] = None
     reason: str = ""
+
+    def to_dict(self) -> dict:
+        return {
+            "section": self.section,
+            "passed": self.passed,
+            "reduced": {"status": self.reduced_status, "nodes": self.reduced_nodes},
+            "unreduced": {"status": self.unreduced_status, "nodes": self.unreduced_nodes},
+            "reason": self.reason,
+        }
 
 
 def gadget_lemma(
@@ -257,19 +266,7 @@ class TheoremCertificate:
 
     def to_json(self) -> str:
         payload = {
-            "sections": [
-                {
-                    "section": s.section,
-                    "passed": s.passed,
-                    "reduced": {"status": s.reduced_status, "nodes": s.reduced_nodes},
-                    "unreduced": {
-                        "status": s.unreduced_status,
-                        "nodes": s.unreduced_nodes,
-                    },
-                    "reason": s.reason,
-                }
-                for s in self.sections
-            ],
+            "sections": [s.to_dict() for s in self.sections],
             "apex_covers_corners": self.apex_covers_corners,
             "apex_list": list(self.apex_list),
             "planar": self.planar,
@@ -358,13 +355,10 @@ def theorem_replay(
     if direct.status != "UNSAT":
         failures.append(f"direct solve returned {direct.status}")
 
-    try:
-        planar = face_census(apex_embed(g)).euler == 2
-    except GraphError as exc:
-        planar = False
-        failures.append(f"planarity ({exc})")
-    if not planar and not any(f.startswith("planarity") for f in failures):
-        failures.append("planarity")
+    planar, planarity = run_claim("planarity", g)
+    if not planar:
+        error = planarity.get("error")
+        failures.append(f"planarity ({error})" if error else "planarity")
 
     three = decide(g, uniform_lists(g, (1, 2, 3)), budget)
     coloring3 = None

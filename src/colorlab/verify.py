@@ -7,13 +7,14 @@ Hamiltonicity comes from a pruned search whose output is replayed by an
 independent checker; non-Hamiltonicity of the apex-deleted graph comes from
 a cut certificate (delete S, count components, compare against |S|); a
 perfect matching is found by a blossom-contraction search and replayed.
-``audit`` runs the whole battery and emits one deterministic JSON report.
+``CLAIMS`` defines each certified claim once, for ``audit`` (one
+deterministic JSON report), ``colorlab verify`` and the theorem replay.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, Mapping, Optional
@@ -29,10 +30,12 @@ from colorlab.graph import (
     components,
     degree_histogram,
     delete_vertices,
+    is_connected,
 )
-from colorlab.solve import DEFAULT_BUDGET, BudgetExhausted, chromatic_number
+from colorlab.solve import DEFAULT_BUDGET, chromatic_number
 
 DEFAULT_HAMILTON_BUDGET = 10**8
+DEFAULT_BUDGETS = {"solve": DEFAULT_BUDGET, "hamilton": DEFAULT_HAMILTON_BUDGET}
 
 DirectedEdge = tuple[VertexId, VertexId]
 
@@ -263,8 +266,8 @@ def hamilton(g: Graph, budget: int = DEFAULT_HAMILTON_BUDGET) -> HamiltonResult:
     """
     if g.n < 3:
         raise GraphError("Hamiltonian cycles need at least three vertices")
-    order = list(g.vertices)
-    pos = {v: i for i, v in enumerate(order)}
+    order = g.vertices
+    pos = g.index()
     adj = [[pos[u] for u in g.adj[v]] for v in order]
     status, cycle, nodes = hamilton_cycle(g.n, adj, budget)
     if status == SAT:
@@ -298,8 +301,10 @@ def check_hamiltonian_cycle(g: Graph, cycle: Iterable[VertexId]) -> list[str]:
 def cut_certificate(g: Graph, cut: Iterable[VertexId]) -> CutCertificate:
     """Count components of g - S.  More components than |S| bars a
     Hamiltonian cycle (a cycle through all vertices loses at most |S|
-    pieces when S is removed)."""
+    pieces when S is removed).  An empty S proves nothing, so it is refused."""
     s = sorted(set(cut))
+    if not s:
+        raise GraphError("a cut certificate needs a nonempty cut")
     rest = delete_vertices(g, s)  # raises on unknown vertices
     return CutCertificate(cut=tuple(s), components_after=len(components(rest)))
 
@@ -408,8 +413,8 @@ def perfect_matching(g: Graph) -> MatchingResult:
         return MatchingResult(None, reason=f"odd vertex count {g.n}")
     if g.n == 0:
         return MatchingResult(())
-    order = list(g.vertices)
-    pos = {v: i for i, v in enumerate(order)}
+    order = g.vertices
+    pos = g.index()
     adj = [[pos[u] for u in g.adj[v]] for v in order]
     match = _max_matching(g.n, adj)
     exposed = [order[i] for i in range(g.n) if match[i] == -1]
@@ -460,21 +465,119 @@ class AuditReport:
         return all(c["status"] == "pass" for c in self.claims)
 
     def to_json(self) -> str:
-        payload = {
-            "claims": list(self.claims),
-            "versions": self.versions,
-            "budgets": self.budgets,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def _claim(name: str, run) -> dict:
-    """Run one audit claim; failures are recorded, never raised."""
+# ------------------------------------------------------------ claim registry
+# Each claim is defined once, as f(graph, lists, budgets) -> (ok, certificate),
+# where ``ok`` is its rule for a general graph and ``budgets`` has the keys
+# "solve" and "hamilton".  Helpers are called as module globals, so a
+# tracer that replaces them (perfbench/spans.py) sees every call.
+
+
+def _apex_deleted(g: Graph) -> Graph:
+    return delete_vertices(g, [v for v in g.vertices if v.kind == "apex"])
+
+
+def _counts(g, lists, budgets):
+    hist = {str(d): count for d, count in degree_histogram(g).items()}
+    return True, {"vertices": g.n, "edges": g.m, "degree_histogram": hist}
+
+
+def _planarity(g, lists, budgets):
+    apexed = any(v.kind == "apex" for v in g.vertices)
+    census = face_census(apex_embed(g) if apexed else rotation_from_layout(g))
+    lengths = {str(k): c for k, c in sorted(census.face_lengths().items())}
+    cert = {"euler": census.euler, "faces": census.f, "face_lengths": lengths}
+    return census.euler == 2 and is_connected(g), cert
+
+
+def _chromatic(g, lists, budgets):
+    res = chromatic_number(g, budget=budgets["solve"])
+    coloring = {str(v): c for v, c in sorted(res.witness.items())}
+    return True, {"k": res.k, "coloring": coloring}
+
+
+def not_choosable_claim(
+    g: Graph, lists: ListAssignment, k: int, budget: int = DEFAULT_BUDGET
+) -> tuple[bool, dict]:
+    """The lists certify that g is not k-choosable; raises BudgetExhausted."""
+    verdict = verify_not_choosable(g, lists, k, budget=budget)
+    cert = {"verdict": verdict.kind, "nodes": verdict.nodes}
+    if verdict.reason:
+        cert["reason"] = verdict.reason
+    return verdict.kind == "WitnessConfirmed", cert
+
+
+def _hamiltonian(g, lists, budgets):
+    res = hamilton(g, budget=budgets["hamilton"])
+    cert = {"status": res.status, "nodes": res.nodes}
+    if res.status != "FOUND":
+        return False, cert
+    problems = check_hamiltonian_cycle(g, res.cycle)
+    cert.update(cycle=[str(v) for v in res.cycle], replay=problems or "valid")
+    return not problems, cert
+
+
+def _cut(g, lists, budgets):
+    # The construction's cut: the degree-7 vertices of the apex-deleted graph.
+    rest = _apex_deleted(g)
+    cert = cut_certificate(rest, [v for v in rest.vertices if rest.degree(v) == 7])
+    return cert.non_hamiltonian, {
+        "cut_size": len(cert.cut),
+        "cut": [str(v) for v in cert.cut],
+        "components_after": cert.components_after,
+        "non_hamiltonian": cert.non_hamiltonian,
+    }
+
+
+def _matching(g, lists, budgets):
+    rest = _apex_deleted(g)
+    res = perfect_matching(rest)
+    if res.matching is None:
+        return False, {"reason": res.reason}
+    problems = check_matching(rest, res.matching)
+    pairs = [f"{u} -- {v}" for u, v in res.matching]
+    replay = problems or "valid"
+    return not problems, {"size": res.size, "matching": pairs, "replay": replay}
+
+
+CLAIMS = {
+    "construction-counts": _counts,
+    "planarity": _planarity,
+    "chromatic-number-3": _chromatic,
+    "not-4-choosable": lambda g, ls, b: not_choosable_claim(g, ls, 4, b["solve"]),
+    "hamiltonian": _hamiltonian,
+    "apex-deleted-not-hamiltonian": _cut,
+    "apex-deleted-perfect-matching": _matching,
+}
+
+# The construction's own numbers, in report order: an audited claim passes
+# when its rule holds and its certificate carries these values.
+AUDIT_EXPECTS = (
+    ("construction-counts", {"vertices": 63, "edges": 183,
+                             "degree_histogram": {"4": 40, "6": 6, "8": 16, "42": 1}}),
+    ("planarity", {"faces": 122, "face_lengths": {"3": 122}}),
+    ("chromatic-number-3", {"k": 3}),
+    ("not-4-choosable", {}),
+    ("hamiltonian", {}),
+    ("apex-deleted-not-hamiltonian", {"cut_size": 16, "components_after": 17}),
+    ("apex-deleted-perfect-matching", {"size": 31}),
+)
+
+
+def run_claim(
+    name: str,
+    g: Graph,
+    lists: Optional[ListAssignment] = None,
+    budgets: Mapping[str, int] = DEFAULT_BUDGETS,
+) -> tuple[bool, dict]:
+    """Run one registered claim; a raised exception is recorded as a failure."""
+    claim = CLAIMS[name]
     try:
-        ok, certificate = run()
-    except Exception as exc:  # noqa: BLE001 - report must always complete
-        return {"name": name, "status": "fail", "certificate": {"error": str(exc)}}
-    return {"name": name, "status": "pass" if ok else "fail", "certificate": certificate}
+        return claim(g, lists, budgets)
+    except Exception as exc:  # noqa: BLE001 - a report must always complete
+        return False, {"error": str(exc)}
 
 
 def audit(
@@ -483,115 +586,15 @@ def audit(
     solve_budget: int = DEFAULT_BUDGET,
     hamilton_budget: int = DEFAULT_HAMILTON_BUDGET,
 ) -> AuditReport:
-    """Re-check every headline claim about the construction in one run.
-
-    Audits the given graph/lists (defaults: the canonical construction)
-    against the fixed expectations: 63 vertices and 183 edges with the
-    right degree profile, a plane triangulation, chromatic number 3, the
-    canonical lists admitting no coloring, a Hamiltonian cycle, the cut
-    certificate for the apex-deleted graph, and its perfect matching.
-    Deterministic: equal inputs give byte-identical JSON.
-    """
+    """Run the AUDIT_EXPECTS claims on the given graph/lists (defaults: the
+    canonical construction).  Equal inputs give byte-identical JSON."""
     g = graph if graph is not None else mirzakhani()
     ls = lists if lists is not None else canonical_lists()
-
-    def construction():
-        hist = degree_histogram(g)
-        cert = {
-            "vertices": g.n,
-            "edges": g.m,
-            "degree_histogram": {str(k): hist[k] for k in sorted(hist)},
-        }
-        ok = g.n == 63 and g.m == 183 and hist == {4: 40, 6: 6, 8: 16, 42: 1}
-        return ok, cert
-
-    def planarity():
-        census = face_census(apex_embed(g))
-        cert = {
-            "euler": census.euler,
-            "faces": census.f,
-            "face_lengths": {str(k): c for k, c in sorted(census.face_lengths().items())},
-        }
-        return census.euler == 2 and census.f == 122 and census.all_triangles, cert
-
-    def chromatic():
-        try:
-            res = chromatic_number(g, budget=solve_budget)
-        except BudgetExhausted as exc:
-            return False, {"error": str(exc)}
-        cert = {
-            "k": res.k,
-            "coloring": {str(v): c for v, c in sorted(res.witness.items())},
-        }
-        return res.k == 3, cert
-
-    def choosability():
-        verdict = verify_not_choosable(g, ls, 4, budget=solve_budget)
-        cert = {"verdict": verdict.kind, "nodes": verdict.nodes}
-        if verdict.reason:
-            cert["reason"] = verdict.reason
-        return verdict.kind == "WitnessConfirmed", cert
-
-    def hamiltonicity():
-        res = hamilton(g, budget=hamilton_budget)
-        if res.status != "FOUND":
-            return False, {"status": res.status, "nodes": res.nodes}
-        problems = check_hamiltonian_cycle(g, res.cycle)
-        cert = {
-            "status": res.status,
-            "nodes": res.nodes,
-            "cycle": [str(v) for v in res.cycle],
-            "replay": problems or "valid",
-        }
-        return not problems, cert
-
-    def cut():
-        apexes = [v for v in g.vertices if v.kind == "apex"]
-        if len(apexes) != 1:
-            return False, {"error": "no unique apex vertex"}
-        rest = delete_vertices(g, apexes)
-        s = [v for v in rest.vertices if rest.degree(v) == 7]
-        cert_obj = cut_certificate(rest, s)
-        cert = {
-            "cut_size": len(cert_obj.cut),
-            "cut": [str(v) for v in cert_obj.cut],
-            "components_after": cert_obj.components_after,
-            "non_hamiltonian": cert_obj.non_hamiltonian,
-        }
-        return (
-            len(cert_obj.cut) == 16
-            and cert_obj.components_after == 17
-            and cert_obj.non_hamiltonian,
-            cert,
-        )
-
-    def matching():
-        apexes = [v for v in g.vertices if v.kind == "apex"]
-        if len(apexes) != 1:
-            return False, {"error": "no unique apex vertex"}
-        rest = delete_vertices(g, apexes)
-        res = perfect_matching(rest)
-        if res.matching is None:
-            return False, {"reason": res.reason}
-        problems = check_matching(rest, res.matching)
-        cert = {
-            "size": res.size,
-            "matching": [f"{u} -- {v}" for u, v in res.matching],
-            "replay": problems or "valid",
-        }
-        return res.size == 31 and not problems, cert
-
-    claims = (
-        _claim("construction-counts", construction),
-        _claim("planarity", planarity),
-        _claim("chromatic-number-3", chromatic),
-        _claim("not-4-choosable", choosability),
-        _claim("hamiltonian", hamiltonicity),
-        _claim("apex-deleted-not-hamiltonian", cut),
-        _claim("apex-deleted-perfect-matching", matching),
-    )
-    return AuditReport(
-        claims=claims,
-        versions={"package": __version__},
-        budgets={"solve": solve_budget, "hamilton": hamilton_budget},
-    )
+    budgets = {"solve": solve_budget, "hamilton": hamilton_budget}
+    claims = []
+    for name, expect in AUDIT_EXPECTS:
+        ok, cert = run_claim(name, g, ls, budgets)
+        ok = ok and all(cert.get(key) == value for key, value in expect.items())
+        status = "pass" if ok else "fail"
+        claims.append({"name": name, "status": status, "certificate": cert})
+    return AuditReport(tuple(claims), {"package": __version__}, budgets)

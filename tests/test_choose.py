@@ -1,11 +1,13 @@
 """Choosability: witness checks, exhaustive search, random probes."""
 
+import hashlib
 import itertools
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from colorlab import choose
 from colorlab.build import canonical_lists, make_lists, mirzakhani, uniform_lists
 from colorlab.choose import (
     SplitMix64,
@@ -15,7 +17,12 @@ from colorlab.choose import (
     verify_not_choosable,
 )
 from colorlab.graph import GraphError, make_graph, plain
-from colorlab.solve import BudgetExhausted
+from colorlab.solve import BudgetExhausted, decide
+
+# Digests of the assignment sequences below, as enumerated by the original
+# recursive generator.
+ORDER_SYM = "68b3ddb1b809ec88"
+ORDER_ALL = "511f8d63404c2681"
 
 
 def k3():
@@ -75,6 +82,33 @@ def test_c4_is_2_choosable():
     verdict = choosability_exhaustive(c4(), 2, range(1, 9))
     assert verdict.kind == "Choosable"
     assert verdict.examined > 1
+
+
+def assignment_order(monkeypatch, g, k, pool, symmetry):
+    """Every list assignment choosability_exhaustive decides, in order."""
+    seen = []
+
+    def recording_decide(graph, lists, budget):
+        seen.append(tuple(lists.list_of(v) for v in graph.vertices))
+        return decide(graph, lists, budget)
+
+    monkeypatch.setattr(choose, "decide", recording_decide)
+    verdict = choosability_exhaustive(g, k, pool, symmetry=symmetry)
+    assert verdict.examined == len(seen)
+    return hashlib.sha256(repr(seen).encode()).hexdigest()[:16], len(seen)
+
+
+def test_exhaustive_assignment_order_is_pinned(monkeypatch):
+    # c4 is 2-choosable, so the whole enumeration runs.
+    assert assignment_order(monkeypatch, c4(), 2, range(1, 6), True) == (ORDER_SYM, 250)
+    assert assignment_order(monkeypatch, c4(), 2, range(1, 4), False) == (ORDER_ALL, 81)
+
+
+def test_exhaustive_deeper_than_recursion_limit(default_recursion_limit):
+    # 1,500 free vertices with lists from the pool {1}: one assignment, colorable.
+    g = make_graph([plain(i) for i in range(1500)], [])
+    verdict = choosability_exhaustive(g, 1, {1})
+    assert (verdict.kind, verdict.examined) == ("Choosable", 1)
 
 
 def test_single_edge_not_1_choosable():

@@ -172,7 +172,24 @@ def test_verify_all_checks_pass(files, capsys):
     assert set(payload) == {"planarity", "hamilton", "cut", "matching"}
     assert all(entry["pass"] for entry in payload.values())
     assert payload["cut"]["components_after"] == 17
+    assert len(payload["cut"]["cut"]) == 16
+    assert payload["planarity"]["face_lengths"] == {"3": 122}
     assert payload["matching"]["size"] == 31
+
+
+def test_verify_reports_claims_a_graph_is_too_small_for(tmp_path, capsys):
+    # Two vertices: no Hamiltonian cycle can exist, no layout, no cut.
+    k2 = make_graph([plain(0), plain(1)], [(plain(0), plain(1))])
+    path = tmp_path / "k2.json"
+    path.write_text(graphio.graph_to_json(k2))
+    assert main(["verify", "--graph", str(path)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["hamilton"] == {
+        "error": "Hamiltonian cycles need at least three vertices",
+        "pass": False,
+    }
+    assert not payload["cut"]["pass"] and "error" in payload["cut"]
+    assert payload["matching"]["pass"]
 
 
 def test_verify_subset_of_checks(files, capsys):
@@ -209,6 +226,7 @@ def test_prove_single_section(capsys):
     assert main(["prove", "--section", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"] and payload["reduced"]["status"] == "UNSAT"
+    assert payload["reason"] == ""
 
 
 def test_prove_section_budget_exits_3(capsys):
@@ -282,10 +300,46 @@ def test_missing_file_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_garbage_graph_exits_2(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{]")
-    assert main(["solve", "--graph", str(bad), "--k", "3"]) == 2
+GARBAGE = {
+    "not-json": ("graph.json", "{]"),
+    "nested-too-deep": ("graph.json", "[" * 100_000),
+    "vertices-not-a-list": ("graph.json", '{"vertices": 5}'),
+    "three-endpoint-edge": (
+        "graph.json",
+        '{"vertices": ["plain:0", "plain:1", "plain:2"],'
+        ' "edges": [["plain:0", "plain:1", "plain:2"]]}',
+    ),
+    "non-string-vertex-id": ("graph.json", '{"vertices": [0]}'),
+    "zero-denominator": (
+        "graph.json",
+        '{"vertices": ["plain:0"], "layout": {"plain:0": ["1/0", 0]}}',
+    ),
+    "one-element-coordinate": (
+        "graph.json",
+        '{"vertices": ["plain:0"], "layout": {"plain:0": [1]}}',
+    ),
+    "dimacs-problem-line": ("graph.col", "p edge x 1\n"),
+    "dimacs-edge-line": ("graph.col", "p edge 2 1\ne 1 x\n"),
+    "list-value-not-a-list": (
+        "lists.json",
+        '{"palette": [1, 2, 3], "lists": {"plain:0": 5}}',
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GARBAGE))
+def test_garbage_graph_exits_2(case, files, tmp_path, capsys):
+    name, text = GARBAGE[case]
+    bad = tmp_path / name
+    bad.write_text(text)
+    if name == "lists.json":
+        argv = ["solve", "--graph", str(files["k3"]), "--lists", str(bad)]
+    else:
+        argv = ["solve", "--graph", str(bad), "--k", "3"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_unknown_command_exits_2():

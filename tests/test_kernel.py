@@ -10,7 +10,6 @@ verdicts themselves.
 """
 
 import hashlib
-import sys
 
 import pytest
 
@@ -148,14 +147,6 @@ def test_hamilton_on_m():
 # ------------------------------------------- searches deeper than the C stack
 
 DEEP = 1500
-
-
-@pytest.fixture
-def default_recursion_limit():
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    yield
-    sys.setrecursionlimit(old)
 
 
 def test_decide_edgeless_graph_deeper_than_recursion_limit(default_recursion_limit):

@@ -1,5 +1,6 @@
 """Certificates: embeddings, Hamiltonicity, cuts, matchings, the audit."""
 
+import hashlib
 import itertools
 import json
 
@@ -28,6 +29,7 @@ from colorlab.verify import (
     outer_walk,
     perfect_matching,
     rotation_from_layout,
+    run_claim,
     validate_rotation,
     _max_matching,
 )
@@ -262,6 +264,13 @@ def test_cut_certificate_on_path():
     assert cert.non_hamiltonian
 
 
+def test_cut_certificate_refuses_an_empty_cut():
+    # An empty cut leaves one component on any connected graph, and 1 > 0
+    # would wrongly certify the Hamiltonian 4-cycle as non-Hamiltonian.
+    with pytest.raises(GraphError, match="nonempty"):
+        cut_certificate(cycle(4), [])
+
+
 def test_cut_certificate_inconclusive_on_cycle():
     cert = cut_certificate(cycle(4), [plain(0)])
     assert cert.components_after == 1
@@ -384,8 +393,19 @@ def test_audit_all_claims_pass():
     assert set(payload) == {"claims", "versions", "budgets"}
 
 
+AUDIT_SHA256 = "61465f5faa4d3d29b51173b70b7bebb5f2352f0cb4bac572a1bea4836b6ea470"
+
+
 def test_audit_is_deterministic():
-    assert audit().to_json() == audit().to_json()
+    first = audit().to_json()
+    assert first == audit().to_json()
+    assert hashlib.sha256(first.encode()).hexdigest() == AUDIT_SHA256
+
+
+def test_run_claim_records_a_raised_error_as_a_failure():
+    ok, cert = run_claim("hamiltonian", path(2))
+    assert not ok
+    assert cert == {"error": "Hamiltonian cycles need at least three vertices"}
 
 
 def test_audit_flags_a_mutated_graph():
