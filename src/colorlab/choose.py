@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
 from colorlab.build import ListAssignment, make_lists
@@ -49,7 +49,7 @@ def verify_not_choosable(
     Confirmed iff every list has exactly k colors and no proper coloring
     from the lists exists.  Budget exhaustion raises; it is never a verdict.
     """
-    wrong = [v for v in sorted(g.vertices) if v in lists.lists and len(lists.list_of(v)) != k]
+    wrong = [v for v in g.vertices if v in lists.lists and len(lists.list_of(v)) != k]
     if wrong:
         v = wrong[0]
         return ChoosabilityVerdict(
@@ -104,7 +104,7 @@ def choosability_exhaustive(
     colors = sorted(set(pool))
     if len(colors) < k:
         raise GraphError(f"pool of {len(colors)} colors cannot fill lists of size {k}")
-    order = sorted(g.vertices)
+    order = g.vertices
     n = len(order)
     spent = 0
     examined = 0
@@ -198,15 +198,7 @@ class ProbeReport:
     pool: tuple[int, ...]
 
     def to_json(self) -> str:
-        payload = {
-            "graph": self.graph,
-            "k": self.k,
-            "trials": self.trials,
-            "successes": self.successes,
-            "seed": self.seed,
-            "pool": list(self.pool),
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
 
 def default_pool(k: int) -> tuple[int, ...]:
@@ -234,11 +226,10 @@ def random_probe(
     colors = sorted(set(pool)) if pool is not None else list(default_pool(k))
     if len(colors) < k:
         raise GraphError(f"pool of {len(colors)} colors cannot fill lists of size {k}")
-    order = sorted(g.vertices)
     successes = 0
     for t in range(trials):
         rng = SplitMix64(seed ^ t)
-        lists = make_lists(colors, {v: rng.sample(colors, k) for v in order})
+        lists = make_lists(colors, {v: rng.sample(colors, k) for v in g.vertices})
         res = decide(g, lists, budget)
         if res.status == "EXHAUSTED":
             raise BudgetExhausted(

@@ -29,6 +29,7 @@ from colorlab.graph import Graph, GraphError
 from colorlab.proof import forcing_families, gadget_lemma, theorem_replay
 from colorlab.solve import (
     DEFAULT_BUDGET,
+    MAX_PALETTE,
     BudgetExhausted,
     count,
     decide,
@@ -67,6 +68,12 @@ def _parse_pool(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"pool bounds must be integers: {text!r}")
     if b < a:
         raise argparse.ArgumentTypeError(f"empty pool {text!r}")
+    if b - a + 1 > MAX_PALETTE:
+        # Checked before the tuple is built: a pool of 10**8 colors would
+        # exhaust memory long before the solver refused its palette.
+        raise argparse.ArgumentTypeError(
+            f"pool {text!r} has {b - a + 1} colors; at most {MAX_PALETTE} are supported"
+        )
     return tuple(range(a, b + 1))
 
 

@@ -26,7 +26,10 @@ Hamiltonian search
     vertex must retain at least two usable cycle partners (unvisited
     neighbors, the path endpoint, or vertex 0), and a partner count of
     exactly two that includes the endpoint forces the next edge (two such
-    forced edges at once is a dead end).  A node is one attempted extension.
+    forced edges at once is a dead end).  All three are evaluated in one
+    BFS sweep over the unvisited vertices per node, plus a check that
+    vertex 0 keeps an unvisited neighbor to close the cycle through.  A
+    node is one attempted extension.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ MODE_DECIDE, MODE_COUNT, MODE_ENUM = 0, 1, 2
 def solve_colors(n, adj, domains, budget, mode, on_solution=None):
     """Run the list-coloring search on an indexed instance.
 
-    adj: list of sorted neighbor-index lists; domains: list of bit masks.
+    adj: sorted neighbor-index sequences, one per vertex; domains: bit masks.
     Returns (status, witness, nodes, propagations, count) where witness is
     a tuple of bit indices (decide mode, SAT only) and count is the number
     of proper colorings seen (exact unless status is EXHAUSTED).
@@ -192,62 +195,39 @@ def hamilton_cycle(n, adj, budget):
     visited = [False] * n
     visited[0] = True
     path = [0]
-    scratch = [0] * n
-
-    def unvisited_connected() -> bool:
-        first = -1
-        remaining = 0
-        for v in range(n):
-            if not visited[v]:
-                remaining += 1
-                if first < 0:
-                    first = v
-        if remaining == 0:
-            return True
-        seen = [False] * n
-        seen[first] = True
-        scratch[0] = first
-        head, tail = 0, 1
-        reached = 1
-        while head < tail:
-            u = scratch[head]
-            head += 1
-            for w in adj[u]:
-                if not visited[w] and not seen[w]:
-                    seen[w] = True
-                    scratch[tail] = w
-                    tail += 1
-                    reached += 1
-        return reached == remaining
 
     def candidates(u: int) -> list[int]:
         """The extensions of a path ending at u, in order; [] if pruned."""
-        if not unvisited_connected():
-            return []
-        if not any(not visited[w] for w in adj[u]):
-            return []
         if not any(not visited[w] for w in adj[0]):
             return []
+        near_u = adjset[u]
+        near_0 = adjset[0] if u != 0 else ()
         forced = -1
         nforced = 0
-        for w in range(n):
-            if visited[w]:
-                continue
-            avail = 0
+        # One BFS over the unvisited vertices from the first of them: it
+        # counts each one's usable partners while it spreads, and whether it
+        # reached them all is the connectivity prune.
+        first = visited.index(False)
+        seen = visited[:]
+        seen[first] = True
+        queue = [first]
+        for w in queue:
+            avail = (w in near_u) + (w in near_0)
             for x in adj[w]:
                 if not visited[x]:
                     avail += 1
-            if u in adjset[w]:
-                avail += 1
-            if u != 0 and 0 in adjset[w]:
-                avail += 1
+                    if not seen[x]:
+                        seen[x] = True
+                        queue.append(x)
             if avail < 2:
                 return []
-            if avail == 2 and u != 0 and u in adjset[w]:
+            if avail == 2 and u != 0 and w in near_u:
                 nforced += 1
                 if nforced >= 2:
                     return []
                 forced = w
+        if len(queue) + len(path) != n:
+            return []
         return [forced] if nforced == 1 else [w for w in adj[u] if not visited[w]]
 
     nodes = 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 Coord = Union[int, Fraction]
@@ -127,6 +128,15 @@ class Graph:
     def index(self) -> dict[VertexId, int]:
         """Vertex -> position in the fixed total order (0-based)."""
         return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def int_adj(self) -> tuple[tuple[int, ...], ...]:
+        """The integer form the kernels take: row i holds the positions of
+        the neighbors of vertex i, ascending (positions follow the vertex
+        order, in which every adjacency tuple is sorted).  Built on first
+        use and kept on this graph; derived graphs build their own."""
+        pos = self.index()
+        return tuple(tuple(pos[u] for u in self.adj[v]) for v in self.vertices)
 
 
 def make_graph(

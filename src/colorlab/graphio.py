@@ -46,9 +46,8 @@ def _expect(x, kind: type, what: str, size: Optional[int] = None, item=object):
 
 
 def graph_to_json(g: Graph) -> str:
-    order = sorted(g.vertices)
     payload = {
-        "vertices": [str(v) for v in order],
+        "vertices": [str(v) for v in g.vertices],
         "edges": [[str(u), str(v)] for u, v in g.edges()],
     }
     if g.layout:
@@ -109,14 +108,11 @@ def lists_from_json(text: str) -> ListAssignment:
 
 def graph_to_dimacs(g: Graph) -> str:
     """DIMACS coloring format; vertices numbered 1..n by the fixed order."""
-    order = sorted(g.vertices)
-    index = {v: i + 1 for i, v in enumerate(order)}
     out = [f"c colorlab graph, {g.n} vertices {g.m} edges"]
-    for v in order:
-        out.append(f"c {index[v]} {v}")
+    out += [f"c {i + 1} {v}" for i, v in enumerate(g.vertices)]
     out.append(f"p edge {g.n} {g.m}")
-    for u, v in g.edges():
-        out.append(f"e {index[u]} {index[v]}")
+    for i, row in enumerate(g.int_adj):
+        out += [f"e {i + 1} {j + 1}" for j in row if i < j]
     return "\n".join(out) + "\n"
 
 
@@ -168,7 +164,7 @@ def graph_from_dimacs(text: str) -> Graph:
 
 def graph_to_dot(g: Graph, name: str = "G") -> str:
     out = [f"graph {name} {{"]
-    for v in sorted(g.vertices):
+    for v in g.vertices:
         attrs = ""
         if g.layout and v in g.layout:
             x, y = g.layout[v]

@@ -10,7 +10,7 @@ third-party cross-validation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Mapping, Optional, Union
 
 from colorlab import engine
@@ -75,31 +75,20 @@ class CountResult:
     budget: int
 
     def to_json(self) -> str:
-        payload = {
-            "status": self.status,
-            "count": self.count,
-            "nodes": self.nodes,
-            "propagations": self.propagations,
-            "budget": self.budget,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
 
 def _indexed(g: Graph, lists: ListAssignment):
-    """Translate to the kernels' form: index order, CSR-ish adjacency, masks."""
-    order = sorted(g.vertices)
+    """Translate to the kernels' form: vertex order, integer adjacency, masks."""
+    order = g.vertices
     missing = [v for v in order if v not in lists.lists]
     if missing:
         raise GraphError(f"lists missing for {len(missing)} vertices, e.g. {missing[0]}")
     if len(lists.palette) > MAX_PALETTE:
         raise GraphError(f"palette size {len(lists.palette)} exceeds {MAX_PALETTE}")
-    idx = {v: i for i, v in enumerate(order)}
-    # g.adj neighbor tuples are sorted by VertexId and idx is monotone in
-    # that order, so the index lists come out sorted.
-    adj = [[idx[u] for u in g.adj[v]] for v in order]
     pos = {c: i for i, c in enumerate(lists.palette)}
     domains = [sum(1 << pos[c] for c in lists.list_of(v)) for v in order]
-    return order, adj, domains
+    return order, g.int_adj, domains
 
 
 def _decode(order, palette, bits) -> dict[VertexId, int]:
@@ -165,7 +154,7 @@ def verify_coloring(
     if missing:
         raise GraphError(f"coloring is partial: {len(missing)} vertices unassigned")
     violations = []
-    for v in sorted(g.vertices):
+    for v in g.vertices:
         c = coloring[v]
         if isinstance(constraint, int):
             if not (isinstance(c, int) and 1 <= c <= constraint):

@@ -266,13 +266,10 @@ def hamilton(g: Graph, budget: int = DEFAULT_HAMILTON_BUDGET) -> HamiltonResult:
     """
     if g.n < 3:
         raise GraphError("Hamiltonian cycles need at least three vertices")
-    order = g.vertices
-    pos = g.index()
-    adj = [[pos[u] for u in g.adj[v]] for v in order]
-    status, cycle, nodes = hamilton_cycle(g.n, adj, budget)
+    status, cycle, nodes = hamilton_cycle(g.n, g.int_adj, budget)
     if status == SAT:
         return HamiltonResult(
-            "FOUND", tuple(order[i] for i in cycle), nodes, budget
+            "FOUND", tuple(g.vertices[i] for i in cycle), nodes, budget
         )
     if status == EXHAUSTED:
         return HamiltonResult("EXHAUSTED", None, nodes, budget)
@@ -414,9 +411,7 @@ def perfect_matching(g: Graph) -> MatchingResult:
     if g.n == 0:
         return MatchingResult(())
     order = g.vertices
-    pos = g.index()
-    adj = [[pos[u] for u in g.adj[v]] for v in order]
-    match = _max_matching(g.n, adj)
+    match = _max_matching(g.n, g.int_adj)
     exposed = [order[i] for i in range(g.n) if match[i] == -1]
     if exposed:
         size = (g.n - len(exposed)) // 2
@@ -520,9 +515,17 @@ def _hamiltonian(g, lists, budgets):
 
 
 def _cut(g, lists, budgets):
-    # The construction's cut: the degree-7 vertices of the apex-deleted graph.
+    # The construction's cut (the degree-7 vertices of the apex-deleted
+    # graph), then single vertices in order: the first cut that certifies
+    # is reported, and when none does, the construction's cut as it stands
+    # (an empty one raises).
     rest = _apex_deleted(g)
-    cert = cut_certificate(rest, [v for v in rest.vertices if rest.degree(v) == 7])
+    cuts = [[v for v in rest.vertices if rest.degree(v) == 7]]
+    cuts += [[v] for v in rest.vertices]
+    certs = (cut_certificate(rest, cut) for cut in cuts if cut)
+    cert = next((c for c in certs if c.non_hamiltonian), None)
+    if cert is None:
+        cert = cut_certificate(rest, cuts[0])
     return cert.non_hamiltonian, {
         "cut_size": len(cert.cut),
         "cut": [str(v) for v in cert.cut],

@@ -163,6 +163,17 @@ def test_choosability_pool_parsing(files, capsys):
     assert err.value.code == 2
 
 
+def test_choosability_pool_wider_than_the_palette_exits_2(files, capsys):
+    # Refused before the range is built: 10**8 colors would exhaust memory.
+    with pytest.raises(SystemExit) as err:
+        main(["choosability", "--graph", str(files["k3"]), "--probe", "--k", "3",
+              "--pool", "1..100000000"])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "at most 64 are supported" in stderr
+    assert "Traceback" not in stderr
+
+
 # ----------------------------------------------------------------- verify
 
 
@@ -190,6 +201,19 @@ def test_verify_reports_claims_a_graph_is_too_small_for(tmp_path, capsys):
     }
     assert not payload["cut"]["pass"] and "error" in payload["cut"]
     assert payload["matching"]["pass"]
+
+
+def test_verify_cut_falls_back_to_a_single_vertex(tmp_path, capsys):
+    # The 3-vertex path has no degree-7 vertices; deleting its middle vertex
+    # leaves 2 components, which certifies it non-Hamiltonian.
+    vs = [plain(i) for i in range(3)]
+    p3 = make_graph(vs, [(vs[0], vs[1]), (vs[1], vs[2])])
+    path = tmp_path / "p3.json"
+    path.write_text(graphio.graph_to_json(p3))
+    assert main(["verify", "--graph", str(path), "--cut"]) == 0
+    payload = json.loads(capsys.readouterr().out)["cut"]
+    assert payload["cut"] == ["plain:1"]
+    assert payload["components_after"] == 2 and payload["pass"]
 
 
 def test_verify_subset_of_checks(files, capsys):

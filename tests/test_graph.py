@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from colorlab.build import canonical_layout, mirzakhani
 from colorlab.graph import (
+    Graph,
     GraphError,
     apex,
     components,
@@ -17,6 +19,7 @@ from colorlab.graph import (
     parse_vertex,
     plain,
 )
+from colorlab.graphio import graph_from_dimacs, graph_to_dimacs
 
 
 def path(n):
@@ -131,3 +134,21 @@ def test_invariants_hold_for_random_graphs(n, raw_edges):
     comps = components(g)
     flat = [v for comp in comps for v in comp]
     assert sorted(flat) == list(g.vertices)
+
+
+def test_int_adj_is_the_position_form_of_adj():
+    m = mirzakhani()
+    assert m.int_adj is m.int_adj  # fill the cache before deriving from m
+    rest = delete_vertices(m, [apex()])
+    reread = canonical_layout(graph_from_dimacs(graph_to_dimacs(m)))
+    for g in (rest, reread):
+        assert "int_adj" not in vars(g)  # a derived graph starts without one
+    for g in (m, rest, reread):
+        pos = g.index()
+        assert len(g.int_adj) == g.n
+        for v, row in zip(g.vertices, g.int_adj):
+            assert type(row) is tuple and list(row) == sorted(row)
+            assert list(row) == [pos[u] for u in g.adj[v]]
+        assert g == Graph(g.vertices, g.adj, g.layout)
+    assert reread == m and reread.int_adj == m.int_adj
+    assert len(rest.int_adj) == 62

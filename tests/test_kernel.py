@@ -66,6 +66,21 @@ def random_hamilton(seed):
     return n, adj
 
 
+def larger_hamilton(seed):
+    """12 to 18 vertices at 15% to 75% edge density: deep enough searches
+    for the connectivity and forced-edge prunes to fire far from the root."""
+    rng = SplitMix64(seed)
+    n = 12 + rng.below(7)
+    density = 15 + rng.below(61)
+    adj = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.below(100) < density:
+                adj[i].append(j)
+                adj[j].append(i)
+    return n, adj
+
+
 def run(n, adj, domains, budget, mode):
     """One kernel call; in enum mode the solutions are part of the output."""
     if mode != MODE_ENUM:
@@ -136,6 +151,16 @@ def test_random_hamilton_graphs():
     assert digest(outputs) == HAMILTON_DIGEST
 
 
+def test_larger_hamilton_graphs():
+    outputs = []
+    for seed in range(200):
+        n, adj = larger_hamilton(seed)
+        for budget in (10**6, 40):
+            outputs.append(hamilton_cycle(n, adj, budget))
+    assert {out[0] for out in outputs} == {0, 1, 2}
+    assert digest(outputs) == LARGER_HAMILTON_DIGEST
+
+
 def test_hamilton_on_m():
     n, adj = m_indexed()
     status, cycle, nodes = hamilton_cycle(n, adj, 10**8)
@@ -168,4 +193,5 @@ RANDOM_DIGEST = "7407f87e2e435ff00abddf057c540e02a2b2e324890e1eca8cf6e5a8ce1c626
 THEOREM_DIGEST = "9ff15c3448edb4bfce96996f8d67753b601f82842b662c7470701ec40f310d54"
 WHEEL_DIGEST = "760d553c7f87dfaf1714a181807e9c05fef4610c1bbb320ef7fc7b4f56e30cb1"
 HAMILTON_DIGEST = "f2ff19b0d964827236afaec8795585e8bc74817cfc8f77a6e34222f278783932"
+LARGER_HAMILTON_DIGEST = "5dde92da7f97c2afaa41c5f1a7264573d650854c2fe8c89c48d451d2f82ed2c5"
 M_CYCLE_DIGEST = "624112e2e81b39636a56af9e5d9f478b1c970543b051d627be6799af2520aeab"
