@@ -12,7 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .graph import Coord, Graph, GraphError, VertexId, apex, corner, hub, make_graph
+from .graph import (
+    Coord,
+    Graph,
+    GraphError,
+    VertexId,
+    apex,
+    corner,
+    delete_vertices,
+    hub,
+    make_graph,
+)
 
 PALETTE = (1, 2, 3, 4, 5)
 
@@ -202,7 +212,10 @@ def section_gadget(
     for x, y in cells:
         keep.add(hub(x, y))
         keep.update(_cell_corners(x, y))
-    sub = _induced(m, keep)
+    unknown = keep - set(m.vertices)
+    if unknown:
+        raise GraphError(f"unknown vertex {min(unknown)}")
+    sub = delete_vertices(m, set(m.vertices) - keep)
     outer = tuple(v for v in sub.vertices if v.kind == "corner")
     shift_hub = 3 * (j - 1)
     shift_corner = 6 * (j - 1)
@@ -214,16 +227,6 @@ def section_gadget(
         else:
             gmap[v] = corner(v.coords[0] + shift_corner, v.coords[1])
     return sub, outer, gmap
-
-
-def _induced(g: Graph, keep: set[VertexId]) -> Graph:
-    unknown = keep - set(g.vertices)
-    if unknown:
-        raise GraphError(f"unknown vertex {sorted(unknown)[0]}")
-    vs = [v for v in g.vertices if v in keep]
-    edges = [(u, v) for u, v in g.edges() if u in keep and v in keep]
-    layout = {v: g.layout[v] for v in vs} if g.layout is not None else None
-    return make_graph(vs, edges, layout)
 
 
 def canonical_layout(g: Graph) -> Graph:

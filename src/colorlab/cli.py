@@ -84,6 +84,15 @@ def _positive(text: str) -> int:
     return value
 
 
+def _list_size(text: str) -> int:
+    # Checked before any list is built: k colors per list can never exceed
+    # the palette, and k = 10**8 would exhaust memory first.
+    k = _positive(text)
+    if k > MAX_PALETTE:
+        raise argparse.ArgumentTypeError(f"k = {k} exceeds the {MAX_PALETTE}-color palette")
+    return k
+
+
 def _nonnegative(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -282,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="decide or count proper list colorings")
     p.add_argument("--graph", required=True, help="graph file (.json or .col)")
     p.add_argument("--lists", help="list assignment (JSON)")
-    p.add_argument("--k", type=_positive, help="use uniform lists 1..k instead")
+    p.add_argument("--k", type=_list_size, help="use uniform lists 1..k instead")
     p.add_argument("--count", action="store_true", help="count all colorings")
     p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
     p.add_argument("--out", help="write the result here instead of stdout")
@@ -290,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("choosability", help="witness check, exhaustive, or probe")
     p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=_positive, required=True, help="list size k")
+    p.add_argument("--k", type=_list_size, required=True, help="list size k")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--witness", help="lists JSON claimed to block every coloring")
     mode.add_argument(

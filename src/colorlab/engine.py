@@ -38,7 +38,6 @@ from __future__ import annotations
 BACKEND_NAME = "python"
 
 UNSAT, SAT, EXHAUSTED = 0, 1, 2
-_NONE, _FOUND, _BUDGET = 0, 1, 2
 
 MODE_DECIDE, MODE_COUNT, MODE_ENUM = 0, 1, 2
 
@@ -183,15 +182,15 @@ def solve_colors(n, adj, domains, budget, mode, on_solution=None):
 def hamilton_cycle(n, adj, budget):
     """Search for a Hamiltonian cycle through vertex 0.
 
-    Returns (status, cycle, nodes): status 1 with the vertex sequence if a
-    cycle was found, 0 if the pruned search space was exhausted without one,
-    2 if the node budget ran out.
+    Returns (status, cycle, nodes): SAT with the vertex sequence if a cycle
+    was found, UNSAT if the pruned search space was exhausted without one,
+    EXHAUSTED if the node budget ran out.
     """
     if n < 3:
-        return (_NONE, None, 0)
+        return (UNSAT, None, 0)
     adjset = [set(nbrs) for nbrs in adj]
     if any(len(nbrs) < 2 for nbrs in adj):
-        return (_NONE, None, 0)
+        return (UNSAT, None, 0)
     visited = [False] * n
     visited[0] = True
     path = [0]
@@ -241,14 +240,14 @@ def hamilton_cycle(n, adj, budget):
                 visited[path.pop()] = False
             continue
         if nodes >= budget:
-            return (_BUDGET, None, nodes)
+            return (EXHAUSTED, None, nodes)
         nodes += 1
         visited[w] = True
         path.append(w)
         if len(path) == n:
             if 0 in adjset[w]:
-                return (_FOUND, list(path), nodes)
+                return (SAT, list(path), nodes)
             stack.append(iter(()))
         else:
             stack.append(iter(candidates(w)))
-    return (_NONE, None, nodes)
+    return (UNSAT, None, nodes)

@@ -1,49 +1,41 @@
 """Simple undirected graphs with structured vertex identities.
 
 Vertices carry their role in the cell construction (apex / hub / corner) or
-a plain integer id for generic graphs.  A fixed total order on vertex ids
-(apex < hub < corner < plain, coordinates lexicographic) makes every
-derived sequence deterministic.
+a plain integer id for generic graphs.  A vertex id is the tuple
+(rank, coords), rank 0 apex, 1 hub, 2 corner, 3 plain, so tuple comparison
+is the fixed total order (apex < hub < corner < plain, coordinates
+lexicographic) that makes every derived sequence deterministic.  Ids hold
+only integers, so their order and their hash do not depend on the hash
+seed.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 Coord = Union[int, Fraction]
 
-_KIND_RANK = {"apex": 0, "hub": 1, "corner": 2, "plain": 3}
+_KINDS = ("apex", "hub", "corner", "plain")
 
 
 class GraphError(ValueError):
     """Raised for malformed graph construction input."""
 
 
-@dataclass(frozen=True, order=False)
-class VertexId:
-    """Structural vertex identity; equality and order are value-based."""
+class VertexId(NamedTuple):
+    """Structural vertex identity: a plain tuple, so equality, hashing and
+    the vertex order are tuple operations."""
 
-    kind: str
+    rank: int  # index into _KINDS
     coords: tuple[int, ...] = ()
 
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        return (_KIND_RANK[self.kind], self.coords)
-
-    def __lt__(self, other: "VertexId") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def __le__(self, other: "VertexId") -> bool:
-        return self.sort_key() <= other.sort_key()
-
-    def __gt__(self, other: "VertexId") -> bool:
-        return self.sort_key() > other.sort_key()
-
-    def __ge__(self, other: "VertexId") -> bool:
-        return self.sort_key() >= other.sort_key()
+    @property
+    def kind(self) -> str:
+        return _KINDS[self.rank]
 
     def __str__(self) -> str:
         if self.kind == "apex":
@@ -55,23 +47,23 @@ class VertexId:
 
 
 def apex() -> VertexId:
-    return VertexId("apex")
+    return VertexId(0)
 
 
 def hub(x: int, y: int) -> VertexId:
-    return VertexId("hub", (int(x), int(y)))
+    return VertexId(1, (int(x), int(y)))
 
 
 def corner(a: int, b: int) -> VertexId:
     if a % 2 == 0 or b % 2 == 0:
         raise GraphError(f"corner coordinates must both be odd, got ({a}, {b})")
-    return VertexId("corner", (int(a), int(b)))
+    return VertexId(2, (int(a), int(b)))
 
 
 def plain(n: int) -> VertexId:
     if n < 0:
         raise GraphError(f"plain vertex index must be nonnegative, got {n}")
-    return VertexId("plain", (int(n),))
+    return VertexId(3, (int(n),))
 
 
 def parse_vertex(text: str) -> VertexId:

@@ -514,14 +514,55 @@ def _hamiltonian(g, lists, budgets):
     return not problems, cert
 
 
+def _cut_vertex(g: Graph) -> Optional[VertexId]:
+    """The first vertex, in vertex order, whose deletion leaves two or more
+    components; None if there is none.
+
+    One lowpoint DFS over ``g.int_adj`` gives comps(g - v) = c - 1 +
+    pieces(v) for every v at once: c counts the components of g, and
+    pieces(v) those that v's own component falls into without v (a root's
+    DFS children; 1 plus the children no back edge lifts above v otherwise).
+    """
+    adj = g.int_adj
+    disc = [-1] * g.n
+    low = [0] * g.n
+    pieces = [1] * g.n
+    c = t = 0
+    for root in range(g.n):
+        if disc[root] >= 0:
+            continue
+        c += 1
+        pieces[root] = 0
+        disc[root] = low[root] = t
+        t += 1
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            v, nbrs = stack[-1]
+            w = next(nbrs, -1)
+            if w < 0:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+                    pieces[u] += low[v] >= disc[u]
+            elif disc[w] < 0:
+                disc[w] = low[w] = t
+                t += 1
+                stack.append((w, iter(adj[w])))
+            else:
+                low[v] = min(low[v], disc[w])
+    return next((g.vertices[v] for v in range(g.n) if c - 1 + pieces[v] >= 2), None)
+
+
 def _cut(g, lists, budgets):
     # The construction's cut (the degree-7 vertices of the apex-deleted
-    # graph), then single vertices in order: the first cut that certifies
-    # is reported, and when none does, the construction's cut as it stands
-    # (an empty one raises).
+    # graph), then the first single vertex that splits it: the first cut
+    # that certifies is reported, and when none does, the construction's
+    # cut as it stands (an empty one raises).
     rest = _apex_deleted(g)
+    single = _cut_vertex(rest)
     cuts = [[v for v in rest.vertices if rest.degree(v) == 7]]
-    cuts += [[v] for v in rest.vertices]
+    cuts += [[single]] if single is not None else []
     certs = (cut_certificate(rest, cut) for cut in cuts if cut)
     cert = next((c for c in certs if c.non_hamiltonian), None)
     if cert is None:

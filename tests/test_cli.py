@@ -2,9 +2,13 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import colorlab
 from colorlab import graphio
 from colorlab.build import canonical_lists, mirzakhani, uniform_lists
 from colorlab.cli import main
@@ -102,6 +106,20 @@ def test_solve_count_mode(files, capsys):
 def test_solve_requires_lists_or_k(files, capsys):
     assert main(["solve", "--graph", str(files["m"])]) == 2
     assert "provide --lists or --k" in capsys.readouterr().err
+
+
+def test_k_above_the_palette_exits_2(files, capsys):
+    # Refused before any list is built: 10**8 colors would exhaust memory.
+    for argv in (
+        ["solve", "--graph", str(files["m"]), "--k", "100000000"],
+        ["choosability", "--graph", str(files["m"]), "--probe", "--k", "100000000"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "exceeds the 64-color palette" in stderr
+        assert "Traceback" not in stderr
 
 
 # ----------------------------------------------------------- choosability
@@ -376,3 +394,23 @@ def test_out_files_end_with_newline(files, tmp_path):
     out = tmp_path / "result.json"
     main(["solve", "--graph", str(files["k3"]), "--k", "3", "--out", str(out)])
     assert out.read_text().endswith("\n")
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(files):
+    # Vertex ids hash as tuples of integers, so no iteration order, and no
+    # byte of output, may change with PYTHONHASHSEED.
+    src = os.path.dirname(os.path.dirname(colorlab.__file__))
+    runs = (
+        ["verify", "--graph", str(files["m"]), "--planarity", "--cut", "--matching"],
+        ["choosability", "--graph", str(files["m"]), "--k", "3", "--probe", "--trials", "50"],
+    )
+    for argv in runs:
+        outs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "colorlab.cli", *argv],
+                capture_output=True, env=env, check=True,
+            )
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] and outs[0]

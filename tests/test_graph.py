@@ -65,6 +65,35 @@ def test_vertex_total_order():
     assert vs == [apex(), hub(0, 0), corner(-1, 1), corner(1, -1), plain(0)]
 
 
+vertex_ids = st.one_of(
+    st.just(apex()),
+    st.builds(hub, st.integers(-20, 20), st.integers(-20, 20)),
+    st.builds(
+        corner,
+        st.integers(-10, 10).map(lambda a: 2 * a + 1),
+        st.integers(-10, 10).map(lambda b: 2 * b + 1),
+    ),
+    st.builds(plain, st.integers(0, 40)),
+)
+
+
+@given(st.lists(vertex_ids, max_size=30))
+def test_vertex_order_is_the_kind_rank_then_coords_rule(vs):
+    kinds = ("apex", "hub", "corner", "plain")
+    assert sorted(vs) == sorted(vs, key=lambda v: (kinds.index(v.kind), v.coords))
+
+
+def test_vertex_text_forms_and_kinds():
+    pins = [
+        (apex(), "apex", "VertexId(apex)", "apex"),
+        (hub(3, -1), "hub:3,-1", "VertexId(hub:3,-1)", "hub"),
+        (corner(-5, 1), "corner:-5,1", "VertexId(corner:-5,1)", "corner"),
+        (plain(17), "plain:17", "VertexId(plain:17)", "plain"),
+    ]
+    for v, text, rep, kind in pins:
+        assert (str(v), repr(v), v.kind) == (text, rep, kind)
+
+
 def test_corner_requires_odd_coordinates():
     with pytest.raises(GraphError, match="odd"):
         corner(2, 1)

@@ -286,6 +286,64 @@ def test_apex_deleted_graph_fails_hamiltonicity():
     assert cert.non_hamiltonian
 
 
+def old_cut(g):
+    """Reference cut claim: every single vertex tried in turn with its own
+    deletion and component count, O(n * (n + m))."""
+    rest = delete_vertices(g, [v for v in g.vertices if v.kind == "apex"])
+    cuts = [[v for v in rest.vertices if rest.degree(v) == 7]]
+    cuts += [[v] for v in rest.vertices]
+    certs = (cut_certificate(rest, cut) for cut in cuts if cut)
+    cert = next((c for c in certs if c.non_hamiltonian), None)
+    if cert is None:
+        cert = cut_certificate(rest, cuts[0])
+    return cert.non_hamiltonian, {
+        "cut_size": len(cert.cut),
+        "cut": [str(v) for v in cert.cut],
+        "components_after": cert.components_after,
+        "non_hamiltonian": cert.non_hamiltonian,
+    }
+
+
+def random_graph(seed):
+    rng = SplitMix64(seed)
+    n = 1 + rng.below(12)
+    density = rng.below(100)
+    vs = [plain(i) for i in range(n)]
+    if rng.below(4) == 0:
+        vs[0] = apex()
+    edges = [(u, v) for u, v in itertools.combinations(vs, 2) if rng.below(100) < density]
+    return make_graph(vs, edges)
+
+
+def test_cut_claim_matches_the_per_vertex_loop():
+    for seed in range(500):
+        g = random_graph(seed)
+        try:
+            expected = old_cut(g)
+        except GraphError as exc:
+            expected = (False, {"error": str(exc)})
+        assert run_claim("apex-deleted-not-hamiltonian", g) == expected, seed
+
+
+def test_cut_claim_recounts_at_most_one_single_vertex(monkeypatch):
+    # A per-vertex loop makes one cut_certificate call per vertex (1,501
+    # here); the lowpoint DFS sends at most one vertex on to the recount.
+    calls = []
+
+    def counting(g, cut):
+        calls.append(cut)
+        return cut_certificate(g, cut)
+
+    monkeypatch.setattr("colorlab.verify.cut_certificate", counting)
+    ok, cert = run_claim("apex-deleted-not-hamiltonian", cycle(1500))
+    assert not ok and cert == {"error": "a cut certificate needs a nonempty cut"}
+    assert len(calls) <= 2
+    calls.clear()
+    ok, cert = run_claim("apex-deleted-not-hamiltonian", path(1500))
+    assert ok and cert["cut"] == ["plain:1"] and cert["components_after"] == 2
+    assert len(calls) <= 2
+
+
 # -------------------------------------------------------------- matching
 
 
