@@ -252,6 +252,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         hamilton_budget=args.hamilton_budget,
     )
     _emit(report.to_json(), args.out)
+    if any(c["certificate"].get("status") == "EXHAUSTED" for c in report.claims):
+        return EXIT_BUDGET
     return EXIT_OK if report.all_pass else EXIT_FAIL
 
 

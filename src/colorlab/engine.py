@@ -28,8 +28,10 @@ Hamiltonian search
     exactly two that includes the endpoint forces the next edge (two such
     forced edges at once is a dead end).  All three are evaluated in one
     BFS sweep over the unvisited vertices per node, plus a check that
-    vertex 0 keeps an unvisited neighbor to close the cycle through.  A
-    node is one attempted extension.
+    vertex 0 keeps an unvisited neighbor to close the cycle through.  The
+    same sweep counts each unvisited vertex's unvisited neighbors, and the
+    extensions of the path are tried fewest first, ties by vertex index
+    (Warnsdorff's rule).  A node is one attempted extension.
 """
 
 from __future__ import annotations
@@ -182,9 +184,12 @@ def solve_colors(n, adj, domains, budget, mode, on_solution=None):
 def hamilton_cycle(n, adj, budget):
     """Search for a Hamiltonian cycle through vertex 0.
 
-    Returns (status, cycle, nodes): SAT with the vertex sequence if a cycle
-    was found, UNSAT if the pruned search space was exhausted without one,
-    EXHAUSTED if the node budget ran out.
+    adj: ascending neighbor-index sequences, one per vertex.  Unless an edge
+    is forced, the unvisited neighbors of the path's end are tried fewest
+    unvisited neighbors first, ties by index.  Returns (status, cycle,
+    nodes): SAT with the vertex sequence if a cycle was found, UNSAT if the
+    pruned search space was exhausted without one, EXHAUSTED if the node
+    budget ran out.
     """
     if n < 3:
         return (UNSAT, None, 0)
@@ -194,6 +199,8 @@ def hamilton_cycle(n, adj, budget):
     visited = [False] * n
     visited[0] = True
     path = [0]
+    # free[w]: the unvisited neighbors of w, as counted by the latest sweep.
+    free = [0] * n
 
     def candidates(u: int) -> list[int]:
         """The extensions of a path ending at u, in order; [] if pruned."""
@@ -204,30 +211,41 @@ def hamilton_cycle(n, adj, budget):
         forced = -1
         nforced = 0
         # One BFS over the unvisited vertices from the first of them: it
-        # counts each one's usable partners while it spreads, and whether it
-        # reached them all is the connectivity prune.
+        # counts each one's unvisited neighbors and usable partners while
+        # it spreads, and whether it reached them all is the connectivity
+        # prune.
         first = visited.index(False)
         seen = visited[:]
         seen[first] = True
         queue = [first]
         for w in queue:
-            avail = (w in near_u) + (w in near_0)
+            k = 0
             for x in adj[w]:
                 if not visited[x]:
-                    avail += 1
+                    k += 1
                     if not seen[x]:
                         seen[x] = True
                         queue.append(x)
-            if avail < 2:
-                return []
-            if avail == 2 and u != 0 and w in near_u:
-                nforced += 1
-                if nforced >= 2:
+            free[w] = k
+            # Two unvisited neighbors are already two partners, and a forced
+            # edge needs exactly two partners, one of them u: neither rule
+            # can fire unless k < 2.
+            if k < 2:
+                avail = k + (w in near_u) + (w in near_0)
+                if avail < 2:
                     return []
-                forced = w
+                if avail == 2 and u != 0 and w in near_u:
+                    nforced += 1
+                    if nforced >= 2:
+                        return []
+                    forced = w
         if len(queue) + len(path) != n:
             return []
-        return [forced] if nforced == 1 else [w for w in adj[u] if not visited[w]]
+        if nforced == 1:
+            return [forced]
+        # Most constrained first; the sort is stable, so ties keep the
+        # ascending order of adj[u].
+        return sorted((w for w in adj[u] if not visited[w]), key=free.__getitem__)
 
     nodes = 0
     # One iterator per path vertex over the extensions still to try from it.

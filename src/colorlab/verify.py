@@ -259,10 +259,11 @@ def hamilton(g: Graph, budget: int = DEFAULT_HAMILTON_BUDGET) -> HamiltonResult:
     """Search for a Hamiltonian cycle.
 
     Pruned depth-first search (connectivity cut-off, unvisited-degree
-    bounds, forced-degree-2 chaining).  NONE means the pruned space was
-    exhausted: the graph has no Hamiltonian cycle.  Every returned cycle
-    should be fed to check_hamiltonian_cycle, which shares no code with
-    the search.
+    bounds, forced-degree-2 chaining) that extends the path to the
+    neighbor with the fewest unvisited neighbors first, ties in vertex
+    order.  NONE means the pruned space was exhausted: the graph has no
+    Hamiltonian cycle.  Every returned cycle should be fed to
+    check_hamiltonian_cycle, which shares no code with the search.
     """
     if g.n < 3:
         raise GraphError("Hamiltonian cycles need at least three vertices")

@@ -291,6 +291,23 @@ def test_audit_passes(capsys):
     assert all(c["status"] == "pass" for c in payload["claims"])
 
 
+def test_audit_hamilton_budget_exits_3(capsys):
+    assert main(["audit", "--hamilton-budget", "10"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    hamilton = next(c for c in payload["claims"] if c["name"] == "hamiltonian")
+    assert hamilton["certificate"] == {"status": "EXHAUSTED", "nodes": 10}
+
+
+def test_python_m_colorlab_runs_the_command():
+    src = os.path.dirname(os.path.dirname(colorlab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "colorlab", "audit"],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=src), text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == colorlab.audit().to_json() + "\n"
+
+
 def test_audit_fails_on_mutated_graph(files, capsys):
     assert main(["audit", "--graph", str(files["mutated"])]) == 1
     payload = json.loads(capsys.readouterr().out)

@@ -164,7 +164,7 @@ def test_larger_hamilton_graphs():
 def test_hamilton_on_m():
     n, adj = m_indexed()
     status, cycle, nodes = hamilton_cycle(n, adj, 10**8)
-    assert (status, nodes) == (1, 192171)
+    assert (status, nodes) == (1, 62)
     assert sorted(cycle) == list(range(n)) and cycle[0] == 0
     assert digest(cycle) == M_CYCLE_DIGEST
 
@@ -192,6 +192,6 @@ def test_hamilton_long_cycle_deeper_than_recursion_limit(default_recursion_limit
 RANDOM_DIGEST = "7407f87e2e435ff00abddf057c540e02a2b2e324890e1eca8cf6e5a8ce1c6267"
 THEOREM_DIGEST = "9ff15c3448edb4bfce96996f8d67753b601f82842b662c7470701ec40f310d54"
 WHEEL_DIGEST = "760d553c7f87dfaf1714a181807e9c05fef4610c1bbb320ef7fc7b4f56e30cb1"
-HAMILTON_DIGEST = "f2ff19b0d964827236afaec8795585e8bc74817cfc8f77a6e34222f278783932"
-LARGER_HAMILTON_DIGEST = "5dde92da7f97c2afaa41c5f1a7264573d650854c2fe8c89c48d451d2f82ed2c5"
-M_CYCLE_DIGEST = "624112e2e81b39636a56af9e5d9f478b1c970543b051d627be6799af2520aeab"
+HAMILTON_DIGEST = "ac8dc609f857f7c0e5375069eba5f0f52f5e25408dedf4e78a6f11acd6db3130"
+LARGER_HAMILTON_DIGEST = "7554949d36e6550bb5355f984b0b1b24b92ff5be1b119efeea0a1372a6a9a1a2"
+M_CYCLE_DIGEST = "8ec2fbd495053ad51753d4742422d9f7afe11d5d931a77401d13fef7345392f6"

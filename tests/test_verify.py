@@ -245,6 +245,52 @@ def test_mirzakhani_is_hamiltonian():
     assert check_hamiltonian_cycle(g, res.cycle) == []
 
 
+def brute_hamiltonian(n, edges):
+    """Whether some ordering of 1..n-1 after vertex 0 closes into a cycle."""
+    return any(
+        all(frozenset(e) in edges for e in zip((0, *rest), (*rest, 0)))
+        for rest in itertools.permutations(range(1, n))
+    )
+
+
+def test_hamilton_verdicts_match_brute_force():
+    found = 0
+    for seed in range(600):
+        rng = SplitMix64(seed)
+        n = 3 + rng.below(6)
+        density = 20 + rng.below(61)
+        edges = {
+            frozenset((i, j))
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.below(100) < density
+        }
+        vs = [plain(i) for i in range(n)]
+        g = make_graph(vs, [(vs[i], vs[j]) for i, j in map(sorted, edges)])
+        res = hamilton(g)
+        assert res.status in ("FOUND", "NONE"), seed
+        assert (res.status == "FOUND") == brute_hamiltonian(n, edges), seed
+        if res.cycle is not None:
+            assert check_hamiltonian_cycle(g, res.cycle) == [], seed
+            found += 1
+    assert 0 < found < 600
+
+
+def test_hamilton_never_backtracks_on_m_or_its_apex_edge_mutants():
+    # Fewest-unvisited-neighbors-first extends the path straight to a cycle
+    # on M and on each graph criterion 11 audits: n - 1 = 62 nodes apiece.
+    g = mirzakhani()
+    graphs = [g]
+    for dropped in g.adj[apex()]:
+        edges = [(u, v) for u, v in g.edges() if (u, v) != (apex(), dropped)]
+        graphs.append(make_graph(g.vertices, edges, layout=g.layout))
+    assert len(graphs) == 43
+    for h in graphs:
+        res = hamilton(h)
+        assert (res.status, res.nodes) == ("FOUND", 62)
+        assert check_hamiltonian_cycle(h, res.cycle) == []
+
+
 def test_cycle_replay_catches_problems():
     g = cycle(4)
     vs = list(g.vertices)
@@ -451,7 +497,7 @@ def test_audit_all_claims_pass():
     assert set(payload) == {"claims", "versions", "budgets"}
 
 
-AUDIT_SHA256 = "61465f5faa4d3d29b51173b70b7bebb5f2352f0cb4bac572a1bea4836b6ea470"
+AUDIT_SHA256 = "ca4fc7e09eb0cef0ae07474f0b326b30ddda3e8de42c1e5a5bc2637d93798bb5"
 
 
 def test_audit_is_deterministic():
