@@ -11,14 +11,22 @@ travels with every report.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
+from colorlab import engine
 from colorlab.build import ListAssignment, make_lists
 from colorlab.graph import Graph, GraphError, VertexId
-from colorlab.solve import DEFAULT_BUDGET, BudgetExhausted, decide
+from colorlab.solve import (
+    DEFAULT_BUDGET,
+    MAX_PALETTE,
+    BudgetExhausted,
+    check_mask_witness,
+    decide,
+)
 
 _M64 = (1 << 64) - 1
 
@@ -85,6 +93,13 @@ def _canonical_rows(k: int, used: int, cap: int) -> list[tuple[int, ...]]:
     return rows
 
 
+def _check_list_size(k: int, colors: Sequence[int]) -> None:
+    if k < 1:
+        raise GraphError(f"list size must be at least 1, got {k}")
+    if len(colors) < k:
+        raise GraphError(f"pool of {len(colors)} colors cannot fill lists of size {k}")
+
+
 def choosability_exhaustive(
     g: Graph,
     k: int,
@@ -102,8 +117,7 @@ def choosability_exhaustive(
     tests can confirm the pruning changes nothing.
     """
     colors = sorted(set(pool))
-    if len(colors) < k:
-        raise GraphError(f"pool of {len(colors)} colors cannot fill lists of size {k}")
+    _check_list_size(k, colors)
     order = g.vertices
     n = len(order)
     spent = 0
@@ -156,6 +170,15 @@ def choosability_exhaustive(
     return ChoosabilityVerdict("Choosable", examined=examined, nodes=spent)
 
 
+@functools.lru_cache(maxsize=256)
+def _rejection_limit(m: int) -> int:
+    """The largest multiple of m not above 2**64: below(m) rejects raw draws
+    at or above it."""
+    if m <= 0:
+        raise ValueError("below() needs a positive bound")
+    return _M64 + 1 - ((_M64 + 1) % m)
+
+
 class SplitMix64:
     """Fixed, portable PRNG (splitmix64) so probes reproduce anywhere."""
 
@@ -171,9 +194,7 @@ class SplitMix64:
 
     def below(self, m: int) -> int:
         """Uniform integer in [0, m) by rejection (no modulo bias)."""
-        if m <= 0:
-            raise ValueError("below() needs a positive bound")
-        lim = _M64 + 1 - ((_M64 + 1) % m)
+        lim = _rejection_limit(m)
         while True:
             r = self.next()
             if r < lim:
@@ -182,6 +203,8 @@ class SplitMix64:
     def sample(self, items: Sequence[int], k: int) -> tuple[int, ...]:
         """Sorted uniform k-subset via partial Fisher-Yates."""
         arr = list(items)
+        if not 0 <= k <= len(arr):
+            raise ValueError(f"sample() needs 0 <= k <= {len(arr)}, got {k}")
         for i in range(k):
             j = i + self.below(len(arr) - i)
             arr[i], arr[j] = arr[j], arr[i]
@@ -222,20 +245,39 @@ def random_probe(
     are independent and the report depends only on the arguments.  A solve
     that exhausts its budget aborts the probe (raises), because a truncated
     success count would be silently wrong.
+
+    The subsets are drawn as palette positions and go to the kernel as bit
+    masks; every SAT witness is re-checked against those masks over
+    ``Graph.int_edges`` by check_mask_witness.
     """
     colors = sorted(set(pool)) if pool is not None else list(default_pool(k))
-    if len(colors) < k:
-        raise GraphError(f"pool of {len(colors)} colors cannot fill lists of size {k}")
+    _check_list_size(k, colors)
+    if len(colors) > MAX_PALETTE:
+        raise GraphError(f"palette size {len(colors)} exceeds {MAX_PALETTE}")
+    n = g.n
+    adj = g.int_adj
+    edges = g.int_edges
+    positions = range(len(colors))
+    mask_of: dict[tuple[int, ...], int] = {}
     successes = 0
     for t in range(trials):
         rng = SplitMix64(seed ^ t)
-        lists = make_lists(colors, {v: rng.sample(colors, k) for v in g.vertices})
-        res = decide(g, lists, budget)
-        if res.status == "EXHAUSTED":
+        masks = []
+        for _ in range(n):
+            drawn = rng.sample(positions, k)
+            mask = mask_of.get(drawn)
+            if mask is None:
+                mask = mask_of[drawn] = sum(1 << i for i in drawn)
+            masks.append(mask)
+        status, bits, _, _, _ = engine.solve_colors(
+            n, adj, masks, budget, engine.MODE_DECIDE
+        )
+        if status == engine.EXHAUSTED:
             raise BudgetExhausted(
                 f"trial {t} undecided within {budget} nodes; probe aborted"
             )
-        if res.sat:
+        if status == engine.SAT:
+            check_mask_witness(edges, masks, bits)
             successes += 1
     return ProbeReport(
         graph=name if name is not None else f"{g.n} vertices, {g.m} edges",

@@ -20,6 +20,14 @@ List-coloring search
     node counts only, never the verdict or the first witness found, and is
     disabled for counting and enumeration, which must visit every solution.
 
+    Bookkeeping: the removal trail holds the vertex that lost a color and
+    that vertex's removal list holds the culprit; the removed color is the
+    culprit's own, so undo restores ``dom[u] |= color[culprit]``.  Each
+    assigned vertex carries a culprit mask, set once when it is assigned:
+    its own bit for a decision, the union of its culprits' masks for a
+    forced assignment.  A vertex's conflict set is the union of the masks
+    of the culprits on its removal list.
+
 Hamiltonian search
     Depth-first path extension from vertex 0 with three prunes: the
     unvisited vertices must induce a connected subgraph, every unvisited
@@ -54,11 +62,12 @@ def solve_colors(n, adj, domains, budget, mode, on_solution=None):
     """
     dom = list(domains)
     color = [-1] * n
-    decision = [False] * n
-    reason = [0] * n  # for forced vertices: bit set of responsible decisions
-    rem = [[] for _ in range(n)]  # active removals per vertex: (bit, culprit)
+    # why[x]: the decisions (bit per vertex) that assigned vertex x descends
+    # from, itself included if x is a decision.  Set on assignment.
+    why = [0] * n
+    rem = [[] for _ in range(n)]  # active removals per vertex: culprit vertex
     atrail: list[int] = []  # assigned vertices, in assignment order
-    rtrail: list[tuple[int, int]] = []  # (vertex, removed bit)
+    rtrail: list[int] = []  # vertices that lost a color, in removal order
     pending: list[int] = []  # FIFO of forced (singleton-domain) vertices
     props = 0
     # The set of decisions (bit per vertex) that the latest refutation
@@ -68,48 +77,44 @@ def solve_colors(n, adj, domains, budget, mode, on_solution=None):
 
     def culprits(v: int) -> int:
         out = 0
-        for _bit, x in rem[v]:
-            out |= (1 << x) if decision[x] else reason[x]
+        for x in rem[v]:
+            out |= why[x]
         return out
 
-    def assign(v: int, bit: int, forced: bool) -> bool:
+    def assign(v: int, bit: int, vwhy: int) -> bool:
         nonlocal props, jump
-        if forced:
-            reason[v] = culprits(v)
+        why[v] = vwhy
         color[v] = bit
         atrail.append(v)
         for u in adj[v]:
-            if color[u] < 0 and dom[u] & bit:
-                dom[u] &= ~bit
-                rtrail.append((u, bit))
-                rem[u].append((bit, v))
+            d = dom[u]
+            if d & bit and color[u] < 0:
+                d ^= bit
+                dom[u] = d
+                rtrail.append(u)
+                rem[u].append(v)
                 props += 1
-                if dom[u] == 0:
+                if d == 0:
                     jump = culprits(u)
                     return False
-                if dom[u] & (dom[u] - 1) == 0:
+                if d & (d - 1) == 0:
                     pending.append(u)
         return True
 
     def run_queue() -> bool:
-        head = 0
-        while head < len(pending):
-            u = pending[head]
-            head += 1
-            if color[u] < 0 and not assign(u, dom[u], True):
+        # assign() appends to pending while this loop walks it.
+        for u in pending:
+            if color[u] < 0 and not assign(u, dom[u], culprits(u)):
                 return False
         return True
 
     def undo(amark: int, rmark: int) -> None:
         pending.clear()
         while len(rtrail) > rmark:
-            u, b = rtrail.pop()
-            dom[u] |= b
-            rem[u].pop()
+            u = rtrail.pop()
+            dom[u] |= color[rem[u].pop()]
         while len(atrail) > amark:
-            w = atrail.pop()
-            color[w] = -1
-            decision[w] = False
+            color[atrail.pop()] = -1
 
     if any(d == 0 for d in dom):
         return (UNSAT, None, 0, 0, 0)
@@ -154,12 +159,16 @@ def solve_colors(n, adj, domains, budget, mode, on_solution=None):
             returned = True
             continue
         else:
+            # After a successful propagation every unassigned domain holds
+            # at least 2 colors, so the first 2 found is the minimum.
             best, best_size = -1, 65
             for v in range(n):
                 if color[v] < 0:
                     size = dom[v].bit_count()
                     if size < best_size:
                         best, best_size = v, size
+                        if size == 2:
+                            break
             frame = [best, culprits(best), dom[best], 0, 0]
             stack.append(frame)
         mask = frame[2]
@@ -176,8 +185,7 @@ def solve_colors(n, adj, domains, budget, mode, on_solution=None):
         frame[2] = mask ^ bit
         frame[3], frame[4] = len(atrail), len(rtrail)
         pending.clear()
-        decision[v] = True
-        returned = not (assign(v, bit, False) and run_queue())
+        returned = not (assign(v, bit, 1 << v) and run_queue())
     return (SAT if count > 0 else UNSAT, None, nodes, props, count)
 
 

@@ -130,6 +130,14 @@ class Graph:
         pos = self.index()
         return tuple(tuple(pos[u] for u in self.adj[v]) for v in self.vertices)
 
+    @cached_property
+    def int_edges(self) -> tuple[tuple[int, int], ...]:
+        """``edges()`` as position pairs (i < j), in the same order.  Built
+        from the vertex ids, not from ``int_adj``, so witness checks that
+        read it share nothing with the kernels' input; kept on this graph."""
+        pos = self.index()
+        return tuple((pos[u], pos[v]) for u, v in self.edges())
+
 
 def make_graph(
     vertices: Iterable[VertexId],

@@ -3,15 +3,15 @@
 The search itself lives in the kernel module ``colorlab.engine``;
 this module translates between structured graphs and the kernels' indexed
 form, packages results with the budget used (for reproducibility), and
-provides the independent witness checker plus a CNF export channel for
-third-party cross-validation.
+provides the independent witness checkers (on colorings and on the kernels'
+bit masks) plus a CNF export channel for third-party cross-validation.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from colorlab import engine
 from colorlab.build import ListAssignment, uniform_lists
@@ -161,10 +161,41 @@ def verify_coloring(
                 violations.append(f"{v}: color {c} outside 1..{constraint}")
         elif c not in constraint.list_of(v):
             violations.append(f"{v}: color {c} not in list {constraint.list_of(v)}")
-    for u, v in g.edges():
-        if coloring[u] == coloring[v]:
-            violations.append(f"edge {u} -- {v}: both colored {coloring[u]}")
+    order = g.vertices
+    colors = [coloring[v] for v in order]
+    for i, j in g.int_edges:
+        if colors[i] == colors[j]:
+            violations.append(f"edge {order[i]} -- {order[j]}: both colored {colors[i]}")
     return violations
+
+
+def check_mask_witness(
+    edges: Sequence[tuple[int, int]], domains: Sequence[int], bits: Sequence[int]
+) -> None:
+    """Independently check a kernel witness on the integer form; raises
+    RuntimeError on the first violation.
+
+    domains are the masks the search started from and edges the position
+    pairs of ``Graph.int_edges``.  Each vertex must carry exactly one bit,
+    inside its mask, and no edge may join two equal bits.  Shares no code
+    with the search.
+    """
+    if len(bits) != len(domains):
+        raise RuntimeError(
+            f"engine produced an invalid witness: {len(bits)} colors for "
+            f"{len(domains)} vertices"
+        )
+    for i, b in enumerate(bits):
+        if b <= 0 or b & (b - 1) or not b & domains[i]:
+            raise RuntimeError(
+                f"engine produced an invalid witness: vertex {i} has bits {b:#x}, "
+                f"mask {domains[i]:#x}"
+            )
+    for i, j in edges:
+        if bits[i] == bits[j]:
+            raise RuntimeError(
+                f"engine produced an invalid witness: edge {i} -- {j} both {bits[i]:#x}"
+            )
 
 
 @dataclass(frozen=True)

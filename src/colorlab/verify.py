@@ -32,7 +32,7 @@ from colorlab.graph import (
     delete_vertices,
     is_connected,
 )
-from colorlab.solve import DEFAULT_BUDGET, chromatic_number
+from colorlab.solve import DEFAULT_BUDGET, BudgetExhausted, chromatic_number
 
 DEFAULT_HAMILTON_BUDGET = 10**8
 DEFAULT_BUDGETS = {"solve": DEFAULT_BUDGET, "hamilton": DEFAULT_HAMILTON_BUDGET}
@@ -617,10 +617,14 @@ def run_claim(
     lists: Optional[ListAssignment] = None,
     budgets: Mapping[str, int] = DEFAULT_BUDGETS,
 ) -> tuple[bool, dict]:
-    """Run one registered claim; a raised exception is recorded as a failure."""
+    """Run one registered claim; a raised exception is recorded as a failure,
+    and a spent solve budget also as status EXHAUSTED, as a spent Hamilton
+    budget is."""
     claim = CLAIMS[name]
     try:
         return claim(g, lists, budgets)
+    except BudgetExhausted as exc:
+        return False, {"error": str(exc), "status": "EXHAUSTED"}
     except Exception as exc:  # noqa: BLE001 - a report must always complete
         return False, {"error": str(exc)}
 

@@ -431,3 +431,15 @@ def test_outputs_do_not_depend_on_the_hash_seed(files):
             )
             outs.append(proc.stdout)
         assert outs[0] == outs[1] and outs[0]
+
+
+def test_audit_solve_budget_exits_3(capsys):
+    # A spent solve budget is a budget outcome (exit 3), as a spent Hamilton
+    # budget is, not a failed claim (exit 1).
+    assert main(["audit", "--budget", "1"]) == 3
+    claims = {c["name"]: c for c in json.loads(capsys.readouterr().out)["claims"]}
+    for name in ("chromatic-number-3", "not-4-choosable"):
+        assert claims[name]["status"] == "fail"
+        assert claims[name]["certificate"]["status"] == "EXHAUSTED"
+        assert "error" in claims[name]["certificate"]
+    assert claims["hamiltonian"]["status"] == "pass"
