@@ -47,6 +47,7 @@ class ChoosabilityVerdict:
     coloring: Optional[dict[VertexId, int]] = None
     examined: int = 0  # list assignments decided (exhaustive mode)
     nodes: int = 0  # total search nodes spent
+    propagations: int = 0  # colors propagation struck from domains (witness mode)
 
 
 def verify_not_choosable(
@@ -73,8 +74,11 @@ def verify_not_choosable(
             reason="a proper coloring from the lists exists",
             coloring=res.witness,
             nodes=res.nodes,
+            propagations=res.propagations,
         )
-    return ChoosabilityVerdict("WitnessConfirmed", nodes=res.nodes)
+    return ChoosabilityVerdict(
+        "WitnessConfirmed", nodes=res.nodes, propagations=res.propagations
+    )
 
 
 def _canonical_rows(k: int, used: int, cap: int) -> list[tuple[int, ...]]:
@@ -252,6 +256,8 @@ def random_probe(
     """
     colors = sorted(set(pool)) if pool is not None else list(default_pool(k))
     _check_list_size(k, colors)
+    if trials < 0:
+        raise GraphError(f"trial count must be nonnegative, got {trials}")
     if len(colors) > MAX_PALETTE:
         raise GraphError(f"palette size {len(colors)} exceeds {MAX_PALETTE}")
     n = g.n

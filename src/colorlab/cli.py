@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
 from colorlab import graphio
 from colorlab.build import (
@@ -26,7 +26,7 @@ from colorlab.build import (
 )
 from colorlab.choose import choosability_exhaustive, default_pool, random_probe
 from colorlab.graph import Graph, GraphError
-from colorlab.proof import forcing_families, gadget_lemma, theorem_replay
+from colorlab.proof import forcing_families, theorem_replay
 from colorlab.solve import (
     DEFAULT_BUDGET,
     MAX_PALETTE,
@@ -114,6 +114,15 @@ def _load_graph(path: str) -> Graph:
 def _load_lists(path: str) -> ListAssignment:
     with open(path, "r", encoding="utf-8") as fh:
         return graphio.lists_from_json(fh.read())
+
+
+def _exit_code(ok: bool, certs: Iterable[dict]) -> int:
+    """EXIT_BUDGET when any certificate, or a gadget lemma's reduced or
+    unreduced solve, ran out of budget; otherwise pass or fail."""
+    solves = (s for c in certs for s in (c, c.get("reduced", {}), c.get("unreduced", {})))
+    if any(s.get("status") == "EXHAUSTED" for s in solves):
+        return EXIT_BUDGET
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -209,18 +218,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ok, cert = run_claim(VERIFY_CLAIMS[flag], g, budgets=budgets)
         results[flag] = {**cert, "pass": ok}
     _emit(json.dumps(results, indent=2, sort_keys=True), args.out)
-    if results.get("hamilton", {}).get("status") == "EXHAUSTED":
-        return EXIT_BUDGET
-    return EXIT_OK if all(r["pass"] for r in results.values()) else EXIT_FAIL
+    return _exit_code(all(r["pass"] for r in results.values()), results.values())
 
 
 def _cmd_prove(args: argparse.Namespace) -> int:
     if args.section is not None:
-        lemma = gadget_lemma(args.section, budget=args.budget)
-        _emit(json.dumps(lemma.to_dict(), indent=2, sort_keys=True), args.out)
-        if "EXHAUSTED" in (lemma.reduced_status, lemma.unreduced_status):
-            return EXIT_BUDGET
-        return EXIT_OK if lemma.passed else EXIT_FAIL
+        ok, cert = run_claim(
+            f"gadget-lemma-{args.section}", mirzakhani(), canonical_lists(),
+            dict(DEFAULT_BUDGETS, solve=args.budget),
+        )
+        _emit(json.dumps(cert, indent=2, sort_keys=True), args.out)
+        return _exit_code(ok, [cert])
     if args.families:
         fam = forcing_families(budget=args.budget)
         payload = {
@@ -239,7 +247,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
         return EXIT_OK if fam.passed else EXIT_FAIL
     cert = theorem_replay(budget=args.budget)
     _emit(cert.to_json() if args.json else cert.transcript(), args.out)
-    return EXIT_OK if cert.certified else EXIT_FAIL
+    return _exit_code(cert.certified, (c for _, c in cert.claims.values()))
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
@@ -252,9 +260,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         hamilton_budget=args.hamilton_budget,
     )
     _emit(report.to_json(), args.out)
-    if any(c["certificate"].get("status") == "EXHAUSTED" for c in report.claims):
-        return EXIT_BUDGET
-    return EXIT_OK if report.all_pass else EXIT_FAIL
+    return _exit_code(report.all_pass, (c["certificate"] for c in report.claims))
 
 
 def _cmd_export(args: argparse.Namespace) -> int:

@@ -7,9 +7,13 @@ without that color the central wheel's corners fall into exactly three
 color families, each of which exhausts the central hub's list.  Chained
 over the four sections, the apex (adjacent to every corner, list
 {1,2,3,4}) is left without a color.  Every "forces" here is replayed as
-an exact enumeration or UNSAT check — no symbolic reasoning — and the
-structured conclusion is cross-validated against the direct monolithic
-UNSAT solve of the whole graph.
+an exact enumeration or UNSAT check — no symbolic reasoning.
+
+``theorem_replay`` decides no claim itself: it runs the registered claims
+in THEOREM_CLAIMS (the four section lemmas, the direct monolithic UNSAT
+solve, planarity and the 3-coloring) through ``verify.run_claim`` and
+checks only the two apex facts here.  ``GadgetLemma`` and ``gadget_lemma``
+live next to the registry in ``colorlab.verify`` and are re-exported.
 """
 
 from __future__ import annotations
@@ -23,14 +27,17 @@ from colorlab.build import (
     canonical_lists,
     gadget,
     mirzakhani,
-    section_gadget,
-    uniform_lists,
     wheel4,
     wheel_lists,
 )
 from colorlab.graph import Graph, GraphError, VertexId, corner, delete_vertices, hub
-from colorlab.solve import DEFAULT_BUDGET, decide, enumerate_colorings, verify_coloring
-from colorlab.verify import run_claim
+from colorlab.solve import DEFAULT_BUDGET, decide, enumerate_colorings
+from colorlab.verify import GadgetLemma, gadget_lemma  # noqa: F401 - re-exported
+from colorlab.verify import DEFAULT_BUDGETS, run_claim
+
+LEMMAS = tuple(f"gadget-lemma-{j}" for j in range(1, 5))
+# The registered claims the theorem rests on, in the order they are run.
+THEOREM_CLAIMS = (*LEMMAS, "not-4-choosable", "planarity", "chromatic-number-3")
 
 # The central wheel of the gadget and its corners in (u, v, w, x) =
 # (nw, ne, se, sw) order; their lists forbid 3, 2, 4, 5 respectively.
@@ -100,71 +107,6 @@ def wheel_forcing(
         pinned={pin_vertex: pin_color},
         forced=dict(sorted(forced.items())),
         examined=count[0],
-    )
-
-
-@dataclass(frozen=True)
-class GadgetLemma:
-    """Section j must use color j on its twelve outer corners.
-
-    Certified by two solves: the section's lists with color j removed
-    from the outer corners are UNSAT, and unreduced they are SAT (so the
-    lemma is about the color, not about an impossible gadget).
-    """
-
-    section: int
-    passed: bool
-    reduced_status: str
-    unreduced_status: str
-    reduced_nodes: int
-    unreduced_nodes: int
-    counterexample: Optional[dict[VertexId, int]] = None
-    reason: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "section": self.section,
-            "passed": self.passed,
-            "reduced": {"status": self.reduced_status, "nodes": self.reduced_nodes},
-            "unreduced": {"status": self.unreduced_status, "nodes": self.unreduced_nodes},
-            "reason": self.reason,
-        }
-
-
-def gadget_lemma(
-    j: int,
-    m: Optional[Graph] = None,
-    lists: Optional[ListAssignment] = None,
-    budget: int = DEFAULT_BUDGET,
-) -> GadgetLemma:
-    """Check the outer-corner color lemma for section j of M."""
-    g = m if m is not None else mirzakhani()
-    ls = lists if lists is not None else canonical_lists()
-    sub, outer, _ = section_gadget(g, j)
-    section_lists = ls.restrict(sub.vertices)
-    reduced = section_lists.without_color(outer, j)
-    r_red = decide(sub, reduced, budget)
-    r_full = decide(sub, section_lists, budget)
-    if r_red.status == "EXHAUSTED" or r_full.status == "EXHAUSTED":
-        return GadgetLemma(
-            j, False, r_red.status, r_full.status, r_red.nodes, r_full.nodes,
-            reason=f"budget {budget} exhausted before the lemma was certified",
-        )
-    passed = r_red.status == "UNSAT" and r_full.status == "SAT"
-    reason = ""
-    if r_red.status == "SAT":
-        reason = f"section {j} colorable without color {j} on its outer corners"
-    elif r_full.status == "UNSAT":
-        reason = f"section {j} admits no list coloring at all; the lemma is vacuous"
-    return GadgetLemma(
-        j,
-        passed,
-        r_red.status,
-        r_full.status,
-        r_red.nodes,
-        r_full.nodes,
-        counterexample=r_red.witness if r_red.status == "SAT" else None,
-        reason=reason,
     )
 
 
@@ -248,16 +190,13 @@ def forcing_families(budget: int = DEFAULT_BUDGET) -> FamiliesResult:
 
 @dataclass(frozen=True)
 class TheoremCertificate:
-    """Assembled evidence that M is planar, 3-colorable, and not 4-choosable."""
+    """Assembled evidence that M is planar, 3-colorable, and not 4-choosable:
+    run_claim's (ok, certificate) for each of THEOREM_CLAIMS, by name, and
+    the two apex facts."""
 
-    sections: tuple[GadgetLemma, ...]
+    claims: dict[str, tuple[bool, dict]]
     apex_covers_corners: bool
     apex_list: tuple[int, ...]
-    planar: bool
-    direct_status: str
-    direct_nodes: int
-    direct_propagations: int
-    coloring3: Optional[dict[VertexId, int]]
     verdict: str
 
     @property
@@ -265,21 +204,20 @@ class TheoremCertificate:
         return self.verdict.startswith("certified")
 
     def to_json(self) -> str:
+        direct_ok, direct = self.claims["not-4-choosable"]
+        three_ok, chromatic = self.claims["chromatic-number-3"]
         payload = {
-            "sections": [s.to_dict() for s in self.sections],
+            "sections": [self.claims[name][1] for name in LEMMAS],
             "apex_covers_corners": self.apex_covers_corners,
             "apex_list": list(self.apex_list),
-            "planar": self.planar,
-            "direct_solve": {
-                "status": self.direct_status,
-                "nodes": self.direct_nodes,
-                "propagations": self.direct_propagations,
-            },
-            "coloring3": (
-                {str(v): c for v, c in sorted(self.coloring3.items())}
-                if self.coloring3 is not None
-                else None
+            "planar": self.claims["planarity"][0],
+            "direct_solve": (
+                {"status": "UNSAT", "nodes": direct["nodes"],
+                 "propagations": direct["propagations"]}
+                if direct_ok
+                else direct
             ),
+            "coloring3": chromatic["coloring"] if three_ok else None,
             "verdict": self.verdict,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
@@ -287,42 +225,45 @@ class TheoremCertificate:
     def transcript(self) -> str:
         """Human-readable proof transcript."""
         lines = ["Theorem replay: a planar 3-colorable graph that is not 4-choosable", ""]
-        for s in self.sections:
-            mark = "ok" if s.passed else "FAILED"
-            lines.append(
-                f"  [{mark}] section {s.section}: color {s.section} is forced onto "
-                f"the outer corners (without it: {s.reduced_status} in "
-                f"{s.reduced_nodes} nodes; with it: {s.unreduced_status})"
+        for j, name in enumerate(LEMMAS, 1):
+            ok, s = self.claims[name]
+            detail = s.get("error") or (
+                f"without it: {s['reduced']['status']} in {s['reduced']['nodes']} "
+                f"nodes; with it: {s['unreduced']['status']}"
             )
-        lines.append(
-            f"  [{'ok' if self.apex_covers_corners else 'FAILED'}] the apex is "
-            "adjacent to exactly the 42 corners"
-        )
-        lines.append(
-            f"  [{'ok' if self.apex_list == (1, 2, 3, 4) else 'FAILED'}] the apex "
-            f"list is {set(self.apex_list)}"
-        )
-        lines.append(
-            "  => any proper list coloring would place colors 1..4 on the apex's"
-        )
-        lines.append(
-            "     neighborhood, leaving the apex without a color."
-        )
-        lines.append(
-            f"  [{'ok' if self.direct_status == 'UNSAT' else 'FAILED'}] direct "
-            f"solve agrees: {self.direct_status} in {self.direct_nodes} nodes, "
-            f"{self.direct_propagations} propagations"
-        )
-        lines.append(
-            f"  [{'ok' if self.planar else 'FAILED'}] planarity: face census has "
-            "Euler characteristic 2"
-        )
-        lines.append(
-            f"  [{'ok' if self.coloring3 else 'FAILED'}] a verified 3-coloring exists"
-        )
-        lines.append("")
-        lines.append(f"Verdict: {self.verdict}")
+            lines.append(
+                f"  [{_mark(ok)}] section {j}: color {j} is forced onto "
+                f"the outer corners ({detail})"
+            )
+        direct_ok, direct = self.claims["not-4-choosable"]
+        lines += [
+            f"  [{_mark(self.apex_covers_corners)}] the apex is adjacent to exactly "
+            "the 42 corners",
+            f"  [{_mark(self.apex_list == (1, 2, 3, 4))}] the apex list is "
+            f"{set(self.apex_list)}",
+            "  => any proper list coloring would place colors 1..4 on the apex's",
+            "     neighborhood, leaving the apex without a color.",
+            f"  [ok] direct solve agrees: UNSAT in {direct['nodes']} nodes, "
+            f"{direct['propagations']} propagations"
+            if direct_ok
+            else f"  [FAILED] direct solve: {_why(direct)}",
+            f"  [{_mark(self.claims['planarity'][0])}] planarity: face census has "
+            "Euler characteristic 2",
+            f"  [{_mark(self.claims['chromatic-number-3'][0])}] a verified 3-coloring "
+            "exists",
+            "",
+            f"Verdict: {self.verdict}",
+        ]
         return "\n".join(lines)
+
+
+def _mark(ok: bool) -> str:
+    return "ok" if ok else "FAILED"
+
+
+def _why(cert: dict) -> str:
+    """A failed certificate's own explanation, if it gives one."""
+    return cert.get("reason") or cert.get("error") or ""
 
 
 def theorem_replay(
@@ -333,12 +274,13 @@ def theorem_replay(
     """Replay the whole argument and cross-validate it against direct UNSAT."""
     g = m if m is not None else mirzakhani()
     ls = lists if lists is not None else canonical_lists()
-    failures = []
-
-    sections = tuple(gadget_lemma(j, g, ls, budget) for j in range(1, 5))
-    for s in sections:
-        if not s.passed:
-            failures.append(f"section {s.section} lemma")
+    budgets = dict(DEFAULT_BUDGETS, solve=budget)
+    claims = {name: run_claim(name, g, ls, budgets) for name in THEOREM_CLAIMS}
+    failures = [
+        f"{name} ({_why(cert)})" if _why(cert) else name
+        for name, (ok, cert) in claims.items()
+        if not ok
+    ]
 
     corners = {v for v in g.vertices if v.kind == "corner"}
     apexes = [v for v in g.vertices if v.kind == "apex"]
@@ -351,34 +293,8 @@ def theorem_replay(
     if apex_list != (1, 2, 3, 4):
         failures.append("apex list")
 
-    direct = decide(g, ls, budget)
-    if direct.status != "UNSAT":
-        failures.append(f"direct solve returned {direct.status}")
-
-    planar, planarity = run_claim("planarity", g)
-    if not planar:
-        error = planarity.get("error")
-        failures.append(f"planarity ({error})" if error else "planarity")
-
-    three = decide(g, uniform_lists(g, (1, 2, 3)), budget)
-    coloring3 = None
-    if three.status == "SAT" and not verify_coloring(g, 3, three.witness):
-        coloring3 = three.witness
-    else:
-        failures.append("3-coloring")
-
     if failures:
         verdict = "not certified: " + "; ".join(failures)
     else:
         verdict = "certified: planar, 3-colorable, and not 4-choosable"
-    return TheoremCertificate(
-        sections=sections,
-        apex_covers_corners=coverage,
-        apex_list=apex_list,
-        planar=planar,
-        direct_status=direct.status,
-        direct_nodes=direct.nodes,
-        direct_propagations=direct.propagations,
-        coloring3=coloring3,
-        verdict=verdict,
-    )
+    return TheoremCertificate(claims, coverage, apex_list, verdict)

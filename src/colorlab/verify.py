@@ -7,8 +7,12 @@ Hamiltonicity comes from a pruned search whose output is replayed by an
 independent checker; non-Hamiltonicity of the apex-deleted graph comes from
 a cut certificate (delete S, count components, compare against |S|); a
 perfect matching is found by a blossom-contraction search and replayed.
-``CLAIMS`` defines each certified claim once, for ``audit`` (one
-deterministic JSON report), ``colorlab verify`` and the theorem replay.
+The gadget lemma (section j must use color j on its outer corners) is two
+solves of the section's lists, with and without color j there.
+``CLAIMS`` defines each certified claim once, eleven in all, for ``audit``
+(the seven in AUDIT_EXPECTS, one deterministic JSON report), ``colorlab
+verify`` and the theorem replay (the four gadget lemmas, not-4-choosable,
+planarity and chromatic-number-3).
 """
 
 from __future__ import annotations
@@ -16,11 +20,11 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, partial
 from typing import Iterable, Mapping, Optional
 
 from colorlab import __version__
-from colorlab.build import ListAssignment, canonical_lists, mirzakhani
+from colorlab.build import ListAssignment, canonical_lists, mirzakhani, section_gadget
 from colorlab.choose import verify_not_choosable
 from colorlab.engine import EXHAUSTED, SAT, hamilton_cycle
 from colorlab.graph import (
@@ -32,7 +36,7 @@ from colorlab.graph import (
     delete_vertices,
     is_connected,
 )
-from colorlab.solve import DEFAULT_BUDGET, BudgetExhausted, chromatic_number
+from colorlab.solve import DEFAULT_BUDGET, BudgetExhausted, chromatic_number, decide
 
 DEFAULT_HAMILTON_BUDGET = 10**8
 DEFAULT_BUDGETS = {"solve": DEFAULT_BUDGET, "hamilton": DEFAULT_HAMILTON_BUDGET}
@@ -464,6 +468,71 @@ class AuditReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
+@dataclass(frozen=True)
+class GadgetLemma:
+    """Section j must use color j on its twelve outer corners.
+
+    Certified by two solves: the section's lists with color j removed
+    from the outer corners are UNSAT, and unreduced they are SAT (so the
+    lemma is about the color, not about an impossible gadget).
+    """
+
+    section: int
+    passed: bool
+    reduced_status: str
+    unreduced_status: str
+    reduced_nodes: int
+    unreduced_nodes: int
+    counterexample: Optional[dict[VertexId, int]] = None
+    reason: str = ""
+
+    def to_dict(self) -> dict:
+        return {
+            "section": self.section,
+            "passed": self.passed,
+            "reduced": {"status": self.reduced_status, "nodes": self.reduced_nodes},
+            "unreduced": {"status": self.unreduced_status, "nodes": self.unreduced_nodes},
+            "reason": self.reason,
+        }
+
+
+def gadget_lemma(
+    j: int,
+    m: Optional[Graph] = None,
+    lists: Optional[ListAssignment] = None,
+    budget: int = DEFAULT_BUDGET,
+) -> GadgetLemma:
+    """Check the outer-corner color lemma for section j of M."""
+    g = m if m is not None else mirzakhani()
+    ls = lists if lists is not None else canonical_lists()
+    sub, outer, _ = section_gadget(g, j)
+    section_lists = ls.restrict(sub.vertices)
+    reduced = section_lists.without_color(outer, j)
+    r_red = decide(sub, reduced, budget)
+    r_full = decide(sub, section_lists, budget)
+    if r_red.status == "EXHAUSTED" or r_full.status == "EXHAUSTED":
+        return GadgetLemma(
+            j, False, r_red.status, r_full.status, r_red.nodes, r_full.nodes,
+            reason=f"budget {budget} exhausted before the lemma was certified",
+        )
+    passed = r_red.status == "UNSAT" and r_full.status == "SAT"
+    reason = ""
+    if r_red.status == "SAT":
+        reason = f"section {j} colorable without color {j} on its outer corners"
+    elif r_full.status == "UNSAT":
+        reason = f"section {j} admits no list coloring at all; the lemma is vacuous"
+    return GadgetLemma(
+        j,
+        passed,
+        r_red.status,
+        r_full.status,
+        r_red.nodes,
+        r_full.nodes,
+        counterexample=r_red.witness if r_red.status == "SAT" else None,
+        reason=reason,
+    )
+
+
 # ------------------------------------------------------------ claim registry
 # Each claim is defined once, as f(graph, lists, budgets) -> (ok, certificate),
 # where ``ok`` is its rule for a general graph and ``budgets`` has the keys
@@ -491,7 +560,7 @@ def _planarity(g, lists, budgets):
 def _chromatic(g, lists, budgets):
     res = chromatic_number(g, budget=budgets["solve"])
     coloring = {str(v): c for v, c in sorted(res.witness.items())}
-    return True, {"k": res.k, "coloring": coloring}
+    return res.k == 3, {"k": res.k, "coloring": coloring}
 
 
 def not_choosable_claim(
@@ -499,10 +568,16 @@ def not_choosable_claim(
 ) -> tuple[bool, dict]:
     """The lists certify that g is not k-choosable; raises BudgetExhausted."""
     verdict = verify_not_choosable(g, lists, k, budget=budget)
-    cert = {"verdict": verdict.kind, "nodes": verdict.nodes}
+    cert = {"verdict": verdict.kind, "nodes": verdict.nodes,
+            "propagations": verdict.propagations}
     if verdict.reason:
         cert["reason"] = verdict.reason
     return verdict.kind == "WitnessConfirmed", cert
+
+
+def _gadget_lemma(j, g, lists, budgets):
+    lemma = gadget_lemma(j, g, lists, budgets["solve"])
+    return lemma.passed, lemma.to_dict()
 
 
 def _hamiltonian(g, lists, budgets):
@@ -595,6 +670,7 @@ CLAIMS = {
     "hamiltonian": _hamiltonian,
     "apex-deleted-not-hamiltonian": _cut,
     "apex-deleted-perfect-matching": _matching,
+    **{f"gadget-lemma-{j}": partial(_gadget_lemma, j) for j in range(1, 5)},
 }
 
 # The construction's own numbers, in report order: an audited claim passes

@@ -62,6 +62,11 @@ def test_witness_refuted_by_coloring():
     assert "coloring" in verdict.reason
 
 
+def test_witness_verdict_counts_propagations():
+    verdict = verify_not_choosable(mirzakhani(), canonical_lists(), 4)
+    assert (verdict.nodes, verdict.propagations) == (4647, 16699)
+
+
 def test_witness_budget_exhaustion_raises():
     with pytest.raises(BudgetExhausted):
         verify_not_choosable(mirzakhani(), canonical_lists(), 4, budget=3)

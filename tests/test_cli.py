@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, exit codes first."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -132,6 +133,14 @@ def test_choosability_witness_confirmed(files, capsys):
     )
     assert code == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "WitnessConfirmed"
+
+
+def test_choosability_witness_reports_propagations(files, capsys):
+    main(["choosability", "--graph", str(files["m"]), "--k", "4",
+          "--witness", str(files["lists"])])
+    assert json.loads(capsys.readouterr().out) == {
+        "nodes": 4647, "propagations": 16699, "verdict": "WitnessConfirmed"
+    }
 
 
 def test_choosability_witness_refuted(files, capsys):
@@ -273,6 +282,37 @@ def test_prove_single_section(capsys):
 
 def test_prove_section_budget_exits_3(capsys):
     assert main(["prove", "--section", "1", "--budget", "5"]) == 3
+
+
+# sha256 of each `prove` output, stdout bytes as printed.
+PROVE_SHA256 = {
+    "prove": "7961383b07b8897761bc92bf67ab7ca5b8da7319903cd14f66433f5d170a9079",
+    "prove --json": "6d85639893fde3df62ac897a674265e80d9b90bd76ea1c1cd509c9cd33c07f10",
+    "prove --section 1": "4faee826593ff81aebc4c1253045b17c37c89b913994d19657fe98200bdd446a",
+    "prove --section 2": "f5f16dda36f3b937684e05f3860b0d7a003108632fcf785c674986cc241378c7",
+    "prove --section 3": "390591a0444b356695899c0bfdbee8ffe935b8d8050f5e39b72ca0204c9b8297",
+    "prove --section 4": "34d9fa7f0199900c03fdf45fd1957f20d0e570d146f1ecdf02f1fb6d82008a31",
+    "prove --families": "4b41ff2ae9c0f430824b92b0383fe8b5bd16fdd17e585f5fd7c3f5263d9f01cb",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PROVE_SHA256))
+def test_prove_output_is_pinned(command, capsys):
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PROVE_SHA256[command]
+
+
+def test_prove_budget_exits_3(capsys):
+    # Every lemma and the direct solve run out of budget: exit 3, as for
+    # `prove --section`, and the transcript names the error, not a node count.
+    assert main(["prove", "--budget", "5"]) == 3
+    text = capsys.readouterr().out
+    assert "[FAILED] direct solve: witness check undecided within 5 nodes" in text
+    assert "Verdict: not certified: gadget-lemma-1 (budget 5 exhausted" in text
+    assert main(["prove", "--json", "--budget", "5"]) == 3
+    direct = json.loads(capsys.readouterr().out)["direct_solve"]
+    assert direct == {"error": "witness check undecided within 5 nodes", "status": "EXHAUSTED"}
 
 
 def test_prove_families(capsys):

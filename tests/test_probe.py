@@ -116,6 +116,12 @@ def test_probe_refuses_list_size_below_one(k):
         random_probe(mirzakhani(), k, 5, 0)
 
 
+def test_probe_refuses_a_negative_trial_count():
+    with pytest.raises(GraphError, match="trial count must be nonnegative, got -5"):
+        random_probe(mirzakhani(), 3, -5, 0, pool=(1, 2, 3, 4))
+    assert random_probe(mirzakhani(), 3, 0, 0, pool=(1, 2, 3, 4)).trials == 0
+
+
 @pytest.mark.parametrize("k", [-1, 0])
 def test_exhaustive_refuses_list_size_below_one(k):
     g = make_graph([plain(0), plain(1)], [(plain(0), plain(1))])

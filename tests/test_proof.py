@@ -11,12 +11,14 @@ from colorlab.proof import (
     CENTRAL_CORNERS,
     CENTRAL_HUB,
     FAMILIES,
+    THEOREM_CLAIMS,
     forcing_families,
     gadget_lemma,
     theorem_replay,
     wheel_forcing,
 )
 from colorlab.solve import decide
+from colorlab.verify import run_claim
 
 SW, SE, NE, NW = corner(-1, -1), corner(1, -1), corner(1, 1), corner(-1, 1)
 
@@ -164,13 +166,13 @@ def test_theorem_replay_certifies():
     cert = theorem_replay()
     assert cert.certified
     assert cert.verdict == "certified: planar, 3-colorable, and not 4-choosable"
-    assert all(s.passed for s in cert.sections)
+    assert all(cert.claims[f"gadget-lemma-{j}"][0] for j in range(1, 5))
     assert cert.apex_covers_corners
     assert cert.apex_list == (1, 2, 3, 4)
-    assert cert.planar
-    assert cert.direct_status == "UNSAT"
-    assert (cert.direct_nodes, cert.direct_propagations) == (4647, 16699)
-    assert cert.coloring3 is not None
+    assert cert.claims["planarity"][0]
+    payload = json.loads(cert.to_json())
+    assert payload["direct_solve"] == {"status": "UNSAT", "nodes": 4647, "propagations": 16699}
+    assert payload["coloring3"] is not None
 
 
 def test_theorem_replay_serializes():
@@ -194,3 +196,48 @@ def test_theorem_replay_rejects_a_widened_apex_list():
     assert not cert.certified
     assert "apex list" in cert.verdict
     assert "[FAILED]" in cert.transcript()
+
+
+def test_theorem_replay_runs_the_registered_claims():
+    assert THEOREM_CLAIMS == (
+        "gadget-lemma-1", "gadget-lemma-2", "gadget-lemma-3", "gadget-lemma-4",
+        "not-4-choosable", "planarity", "chromatic-number-3",
+    )
+    assert set(theorem_replay().claims) == set(THEOREM_CLAIMS)
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_gadget_lemma_is_a_registered_claim(j):
+    assert run_claim(f"gadget-lemma-{j}", mirzakhani(), canonical_lists()) == (
+        True,
+        gadget_lemma(j).to_dict(),
+    )
+
+
+def test_theorem_replay_checks_list_sizes():
+    # A 3-color list on one corner is not a 4-choosability witness, even
+    # though the lists still admit no coloring.
+    ls = canonical_lists()
+    bad = ListAssignment(
+        ls.palette,
+        {v: ((1, 2, 4) if v == corner(23, 1) else ls.list_of(v)) for v in ls.lists},
+    )
+    cert = theorem_replay(lists=bad)
+    assert not cert.certified
+    assert cert.verdict == (
+        "not certified: not-4-choosable "
+        "(list of corner:23,1 has 3 colors, expected 4)"
+    )
+    assert "[FAILED] direct solve: list of corner:23,1 has 3 colors" in cert.transcript()
+
+
+def test_theorem_replay_names_a_spent_budget_without_a_node_count():
+    cert = theorem_replay(budget=5)
+    assert not cert.certified
+    assert "not-4-choosable (witness check undecided within 5 nodes)" in cert.verdict
+    assert all(
+        f"gadget-lemma-{j} (budget 5 exhausted" in cert.verdict for j in range(1, 5)
+    )
+    text = cert.transcript()
+    assert "[FAILED] direct solve: witness check undecided within 5 nodes" in text
+    assert "0 nodes" not in text

@@ -497,7 +497,7 @@ def test_audit_all_claims_pass():
     assert set(payload) == {"claims", "versions", "budgets"}
 
 
-AUDIT_SHA256 = "ca4fc7e09eb0cef0ae07474f0b326b30ddda3e8de42c1e5a5bc2637d93798bb5"
+AUDIT_SHA256 = "bdb20e2732bb6cd351d7da75b1d9c9f54988fa25f738ac347308175a845f634c"
 
 
 def test_audit_is_deterministic():
