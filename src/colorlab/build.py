@@ -5,12 +5,15 @@ Everything is generated from a cell grid: cell (x, y) contributes a hub at
 (x, y), four corners at (2x±1, 2y±1), four hub-corner spokes, and the rim
 4-cycle on its corners.  Corners and rim edges shared between adjacent
 cells deduplicate, which is what reproduces the drawn graph exactly.
+
+Drawing coordinates come only from ``canonical_layout``, and section j of M
+is section 1 moved j-1 sections east by ``_shift``; the gadget is section 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .graph import (
     Coord,
@@ -30,8 +33,6 @@ PALETTE = (1, 2, 3, 4, 5)
 M_CELLS: tuple[tuple[int, int], ...] = tuple(
     sorted([(x, 0) for x in range(12)] + [(x, s) for x in (1, 4, 7, 10) for s in (-1, 1)])
 )
-
-GADGET_CELLS: tuple[tuple[int, int], ...] = ((0, 0), (1, -1), (1, 0), (1, 1), (2, 0))
 
 # Forbidden color of every section-1 corner, transcribed from the drawing.
 SECTION1_FORBIDDEN: dict[tuple[int, int], int] = {
@@ -72,8 +73,16 @@ class ListAssignment:
     def list_of(self, v: VertexId) -> tuple[int, ...]:
         return self.lists[v]
 
+    def require(self, vertices: Iterable[VertexId]) -> None:
+        """Raise GraphError unless every one of ``vertices`` has a list."""
+        missing = [v for v in vertices if v not in self.lists]
+        if missing:
+            raise GraphError(f"lists missing for {len(missing)} vertices, e.g. {missing[0]}")
+
     def restrict(self, vertices: Iterable[VertexId]) -> "ListAssignment":
-        return ListAssignment(self.palette, {v: self.lists[v] for v in vertices})
+        vs = tuple(vertices)
+        self.require(vs)
+        return ListAssignment(self.palette, {v: self.lists[v] for v in vs})
 
     def without_color(self, vertices: Iterable[VertexId], color: int) -> "ListAssignment":
         """Copy with ``color`` removed from the lists of ``vertices``."""
@@ -103,28 +112,22 @@ def forbidding(palette: Sequence[int], j: int) -> tuple[int, ...]:
     return tuple(c for c in sorted(set(palette)) if c != j)
 
 
-def _cell_corners(x: int, y: int) -> list[VertexId]:
-    return [corner(2 * x + dx, 2 * y + dy) for dx in (-1, 1) for dy in (-1, 1)]
+def _cell_vertices(x: int, y: int) -> tuple[VertexId, ...]:
+    """Cell (x, y): its hub, then its corners sw, se, ne, nw (rim order)."""
+    rim = ((-1, -1), (1, -1), (1, 1), (-1, 1))
+    return (hub(x, y), *(corner(2 * x + dx, 2 * y + dy) for dx, dy in rim))
 
 
 def _cells_graph(cells: Iterable[tuple[int, int]]) -> Graph:
     """Hubs, deduplicated corners, spokes, and rim 4-cycles of the cells."""
     vertices: list[VertexId] = []
     edges: list[tuple[VertexId, VertexId]] = []
-    layout: dict[VertexId, tuple[Coord, Coord]] = {}
     for x, y in cells:
-        h = hub(x, y)
-        sw = corner(2 * x - 1, 2 * y - 1)
-        se = corner(2 * x + 1, 2 * y - 1)
-        ne = corner(2 * x + 1, 2 * y + 1)
-        nw = corner(2 * x - 1, 2 * y + 1)
-        vertices += [h, sw, se, ne, nw]
-        edges += [(h, sw), (h, se), (h, ne), (h, nw)]
-        edges += [(sw, se), (se, ne), (ne, nw), (nw, sw)]
-        layout[h] = (6 * x, 6 * y)
-        for c in (sw, se, ne, nw):
-            layout[c] = (3 * c.coords[0], 3 * c.coords[1])
-    return make_graph(vertices, edges, layout)
+        h, *rim = _cell_vertices(x, y)
+        vertices += [h, *rim]
+        edges += [(h, c) for c in rim]
+        edges += zip(rim, rim[1:] + rim[:1])
+    return canonical_layout(make_graph(vertices, edges))
 
 
 def wheel4() -> Graph:
@@ -134,7 +137,7 @@ def wheel4() -> Graph:
 
 def gadget() -> tuple[Graph, tuple[VertexId, ...]]:
     """The 17-vertex five-wheel gadget and its 12 outer-face corners."""
-    g = _cells_graph(GADGET_CELLS)
+    g = _cells_graph(section_cells(1))
     outer = tuple(v for v in g.vertices if v.kind == "corner")
     return g, outer
 
@@ -143,13 +146,8 @@ def mirzakhani() -> Graph:
     """The 63-vertex Mirzakhani graph M: 20 cells plus an apex joined to
     every corner."""
     base = _cells_graph(M_CELLS)
-    inf = apex()
-    corners = [v for v in base.vertices if v.kind == "corner"]
-    vertices = list(base.vertices) + [inf]
-    edges = list(base.edges()) + [(inf, c) for c in corners]
-    layout = dict(base.layout or {})
-    layout[inf] = (33, 25)
-    return make_graph(vertices, edges, layout)
+    spokes = [(apex(), v) for v in base.vertices if v.kind == "corner"]
+    return canonical_layout(make_graph([*base.vertices, apex()], [*base.edges(), *spokes]))
 
 
 def wheel_lists() -> ListAssignment:
@@ -188,7 +186,7 @@ def canonical_lists() -> ListAssignment:
         for (x, y) in section_cells(j):
             forb[hub(x, y)] = j
         for (a, b), f in SECTION1_FORBIDDEN.items():
-            v = corner(a + 6 * (j - 1), b)
+            v = _shift(corner(a, b), j - 1)
             val = pi[f]
             if v in forb and forb[v] != val:
                 raise GraphError(
@@ -199,33 +197,29 @@ def canonical_lists() -> ListAssignment:
     return make_lists(PALETTE, {v: forbidding(PALETTE, f) for v, f in forb.items()})
 
 
+def _shift(v: VertexId, s: int) -> VertexId:
+    """Vertex v moved s sections east: hubs by 3 cells, corners by 6 units."""
+    x, y = v.coords
+    return hub(x + 3 * s, y) if v.kind == "hub" else corner(x + 6 * s, y)
+
+
 def section_gadget(
     m: Graph, j: int
 ) -> tuple[Graph, tuple[VertexId, ...], dict[VertexId, VertexId]]:
     """Section j of M as an induced subgraph.
 
     Returns the subgraph, its 12 outer corners, and the translation map
-    from gadget() vertices onto it (corner a -> a + 6(j-1), hub x -> x + 3(j-1)).
+    from gadget() vertices onto it (``_shift`` by j-1 sections).
     """
-    cells = section_cells(j)
-    keep = set()
-    for x, y in cells:
-        keep.add(hub(x, y))
-        keep.update(_cell_corners(x, y))
+    section_cells(j)  # refuses j outside 1..4
+    section1 = {v for cell in section_cells(1) for v in _cell_vertices(*cell)}
+    gmap = {v: _shift(v, j - 1) for v in sorted(section1)}
+    keep = set(gmap.values())
     unknown = keep - set(m.vertices)
     if unknown:
         raise GraphError(f"unknown vertex {min(unknown)}")
     sub = delete_vertices(m, set(m.vertices) - keep)
     outer = tuple(v for v in sub.vertices if v.kind == "corner")
-    shift_hub = 3 * (j - 1)
-    shift_corner = 6 * (j - 1)
-    gmap: dict[VertexId, VertexId] = {}
-    base, _ = gadget()
-    for v in base.vertices:
-        if v.kind == "hub":
-            gmap[v] = hub(v.coords[0] + shift_hub, v.coords[1])
-        else:
-            gmap[v] = corner(v.coords[0] + shift_corner, v.coords[1])
     return sub, outer, gmap
 
 

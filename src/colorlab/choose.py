@@ -11,7 +11,6 @@ travels with every report.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from dataclasses import asdict, dataclass
@@ -174,15 +173,6 @@ def choosability_exhaustive(
     return ChoosabilityVerdict("Choosable", examined=examined, nodes=spent)
 
 
-@functools.lru_cache(maxsize=256)
-def _rejection_limit(m: int) -> int:
-    """The largest multiple of m not above 2**64: below(m) rejects raw draws
-    at or above it."""
-    if m <= 0:
-        raise ValueError("below() needs a positive bound")
-    return _M64 + 1 - ((_M64 + 1) % m)
-
-
 class SplitMix64:
     """Fixed, portable PRNG (splitmix64) so probes reproduce anywhere."""
 
@@ -198,7 +188,9 @@ class SplitMix64:
 
     def below(self, m: int) -> int:
         """Uniform integer in [0, m) by rejection (no modulo bias)."""
-        lim = _rejection_limit(m)
+        if m <= 0:
+            raise ValueError("below() needs a positive bound")
+        lim = (1 << 64) - (1 << 64) % m  # the largest multiple of m <= 2**64
         while True:
             r = self.next()
             if r < lim:
@@ -240,7 +232,6 @@ def random_probe(
     seed: int,
     pool: Optional[Iterable[int]] = None,
     budget: int = DEFAULT_BUDGET,
-    name: Optional[str] = None,
 ) -> ProbeReport:
     """Solve `trials` random k-list assignments drawn from the pool.
 
@@ -286,7 +277,7 @@ def random_probe(
             check_mask_witness(edges, masks, bits)
             successes += 1
     return ProbeReport(
-        graph=name if name is not None else f"{g.n} vertices, {g.m} edges",
+        graph=f"{g.n} vertices, {g.m} edges",
         k=k,
         trials=trials,
         successes=successes,

@@ -16,6 +16,12 @@ from colorlab.solve import CnfDocument
 
 Coord = Union[int, Fraction]
 
+# The largest vertex count a DIMACS problem line may declare.  The reader
+# allocates one vertex id per declared vertex before it sees a single edge,
+# so a 20-byte file could otherwise ask for hundreds of millions of them;
+# the largest graph the tests build has 1,500 vertices.
+MAX_DIMACS_VERTICES = 10**5
+
 
 def _coord_out(x: Coord):
     f = Fraction(x)
@@ -111,8 +117,7 @@ def graph_to_dimacs(g: Graph) -> str:
     out = [f"c colorlab graph, {g.n} vertices {g.m} edges"]
     out += [f"c {i + 1} {v}" for i, v in enumerate(g.vertices)]
     out.append(f"p edge {g.n} {g.m}")
-    for i, row in enumerate(g.int_adj):
-        out += [f"e {i + 1} {j + 1}" for j in row if i < j]
+    out += [f"e {i + 1} {j + 1}" for i, j in g.int_edges]
     return "\n".join(out) + "\n"
 
 
@@ -138,6 +143,10 @@ def graph_from_dimacs(text: str) -> Graph:
             if len(parts) != 4 or parts[1] != "edge" or not numeric:
                 raise GraphError(f"line {lineno}: malformed problem line")
             n, m = int(parts[2]), int(parts[3])
+            if n > MAX_DIMACS_VERTICES:
+                raise GraphError(
+                    f"line {lineno}: declares {n} vertices, more than {MAX_DIMACS_VERTICES}"
+                )
         elif parts[0] == "e":
             if len(parts) != 3 or not numeric:
                 raise GraphError(f"line {lineno}: malformed edge line")
@@ -162,8 +171,8 @@ def graph_from_dimacs(text: str) -> Graph:
 # ---------------------------------------------------------------- DOT
 
 
-def graph_to_dot(g: Graph, name: str = "G") -> str:
-    out = [f"graph {name} {{"]
+def graph_to_dot(g: Graph) -> str:
+    out = ["graph G {"]
     for v in g.vertices:
         attrs = ""
         if g.layout and v in g.layout:

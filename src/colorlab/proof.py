@@ -30,7 +30,7 @@ from colorlab.build import (
     wheel4,
     wheel_lists,
 )
-from colorlab.graph import Graph, GraphError, VertexId, corner, delete_vertices, hub
+from colorlab.graph import GraphError, VertexId, corner, delete_vertices, hub
 from colorlab.solve import DEFAULT_BUDGET, decide, enumerate_colorings
 from colorlab.verify import GadgetLemma, gadget_lemma  # noqa: F401 - re-exported
 from colorlab.verify import DEFAULT_BUDGETS, run_claim
@@ -90,14 +90,12 @@ def wheel_forcing(
         {v: ((pin_color,) if v == pin_vertex else lists.list_of(v)) for v in g.vertices},
     )
     candidates: dict[VertexId, set[int]] = {v: set() for v in g.vertices}
-    count = [0]
 
     def visit(coloring: dict[VertexId, int]) -> None:
-        count[0] += 1
         for v, c in coloring.items():
             candidates[v].add(c)
 
-    enumerate_colorings(g, pinned_lists, visit, budget)
+    res = enumerate_colorings(g, pinned_lists, visit, budget)
     forced = {
         v: next(iter(cs))
         for v, cs in candidates.items()
@@ -106,7 +104,7 @@ def wheel_forcing(
     return ForcingReport(
         pinned={pin_vertex: pin_color},
         forced=dict(sorted(forced.items())),
-        examined=count[0],
+        examined=res.count,
     )
 
 
@@ -144,16 +142,14 @@ def forcing_families(budget: int = DEFAULT_BUDGET) -> FamiliesResult:
 
     reduced = lists.restrict(hubless.vertices).without_color(outer, 1)
     patterns: set[tuple[int, int, int, int]] = set()
-    count = [0]
 
     def visit(coloring: dict[VertexId, int]) -> None:
-        count[0] += 1
         patterns.add(tuple(coloring[c] for c in CENTRAL_CORNERS))
 
     res = enumerate_colorings(hubless, reduced, visit, budget)
     if res.status == "EXHAUSTED":
         return FamiliesResult(
-            False, count[0], tuple(sorted(patterns)), hub_list, False, None,
+            False, res.count, tuple(sorted(patterns)), hub_list, False, None,
             reason=f"enumeration exhausted the budget {budget}",
         )
 
@@ -175,11 +171,11 @@ def forcing_families(budget: int = DEFAULT_BUDGET) -> FamiliesResult:
 
     in_families = patterns == set(FAMILIES)
     hub_blocked = all(set(f) >= set(hub_list) for f in FAMILIES)
-    passed = in_families and hub_blocked and count[0] > 0 and outside is not None
+    passed = in_families and hub_blocked and res.count > 0 and outside is not None
     reason = "" if passed else "pattern classification failed"
     return FamiliesResult(
         passed,
-        count[0],
+        res.count,
         tuple(sorted(patterns)),
         hub_list,
         hub_blocked,
@@ -267,12 +263,10 @@ def _why(cert: dict) -> str:
 
 
 def theorem_replay(
-    m: Optional[Graph] = None,
-    lists: Optional[ListAssignment] = None,
-    budget: int = DEFAULT_BUDGET,
+    lists: Optional[ListAssignment] = None, budget: int = DEFAULT_BUDGET
 ) -> TheoremCertificate:
-    """Replay the whole argument and cross-validate it against direct UNSAT."""
-    g = m if m is not None else mirzakhani()
+    """Replay the whole argument on M and cross-validate it against direct UNSAT."""
+    g = mirzakhani()
     ls = lists if lists is not None else canonical_lists()
     budgets = dict(DEFAULT_BUDGETS, solve=budget)
     claims = {name: run_claim(name, g, ls, budgets) for name in THEOREM_CLAIMS}

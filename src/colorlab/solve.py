@@ -81,9 +81,7 @@ class CountResult:
 def _indexed(g: Graph, lists: ListAssignment):
     """Translate to the kernels' form: vertex order, integer adjacency, masks."""
     order = g.vertices
-    missing = [v for v in order if v not in lists.lists]
-    if missing:
-        raise GraphError(f"lists missing for {len(missing)} vertices, e.g. {missing[0]}")
+    lists.require(order)
     if len(lists.palette) > MAX_PALETTE:
         raise GraphError(f"palette size {len(lists.palette)} exceeds {MAX_PALETTE}")
     pos = {c: i for i, c in enumerate(lists.palette)}
@@ -205,17 +203,14 @@ class ChromaticResult:
     unsat_below: SolveResult  # the UNSAT (or vacuous k=0) result at k-1
 
 
-def chromatic_number(
-    g: Graph, upper: Optional[int] = None, budget: int = DEFAULT_BUDGET
-) -> ChromaticResult:
+def chromatic_number(g: Graph, budget: int = DEFAULT_BUDGET) -> ChromaticResult:
     """Least k such that G is k-colorable, with certificates for k and k-1."""
     if g.n == 0:
         raise GraphError("chromatic number of the empty graph is undefined here")
-    limit = g.n if upper is None else upper
     # A non-empty graph has no coloring from zero colors; serves as the
-    # below-certificate when k = 1.
+    # below-certificate when k = 1.  The loop returns by k = n at the latest.
     below = SolveResult("UNSAT", None, 0, 0, budget)
-    for k in range(1, limit + 1):
+    for k in range(1, g.n + 1):
         res = decide(g, uniform_lists(g, range(1, k + 1)), budget)
         if res.status == "EXHAUSTED":
             raise BudgetExhausted(f"budget {budget} exhausted deciding {k}-colorability")
@@ -223,7 +218,6 @@ def chromatic_number(
             assert res.witness is not None
             return ChromaticResult(k, res.witness, below)
         below = res
-    raise GraphError(f"no coloring with up to {limit} colors")
 
 
 @dataclass(frozen=True)
@@ -243,7 +237,11 @@ class CnfDocument:
 
 
 def to_cnf(g: Graph, lists: ListAssignment) -> CnfDocument:
-    order, _, _ = _indexed(g, lists)
+    """The CNF of (g, lists).  Built from the vertex ids, not through the
+    kernels' translation, so it cross-checks the kernels and is not bound
+    by their palette limit."""
+    order = g.vertices
+    lists.require(order)
     var: dict[tuple[VertexId, int], int] = {}
     legend = []
     for v in order:

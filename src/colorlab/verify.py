@@ -220,7 +220,7 @@ def outer_walk(g: Graph, rot: Optional[RotationSystem] = None) -> tuple[VertexId
     return tuple(walk[least:] + walk[:least])
 
 
-def apex_embed(g: Graph, rim_rot: Optional[RotationSystem] = None) -> RotationSystem:
+def apex_embed(g: Graph) -> RotationSystem:
     """Extend the rim embedding of an apexed graph to all of it.
 
     The apex must be adjacent to exactly the vertices of the rim's outer
@@ -233,8 +233,7 @@ def apex_embed(g: Graph, rim_rot: Optional[RotationSystem] = None) -> RotationSy
         raise GraphError(f"expected exactly one apex vertex, found {len(apexes)}")
     apex = apexes[0]
     rim = delete_vertices(g, [apex])
-    if rim_rot is None:
-        rim_rot = rotation_from_layout(rim)
+    rim_rot = rotation_from_layout(rim)
     walk = outer_walk(rim, rim_rot)
     if set(g.adj[apex]) != set(walk):
         extra = sorted(set(g.adj[apex]) - set(walk))

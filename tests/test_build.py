@@ -174,3 +174,16 @@ def test_restrict_is_projection():
     sub = lists.restrict([apex(), hub(0, 0)])
     assert set(sub.lists) == {apex(), hub(0, 0)}
     assert sub.palette == lists.palette
+
+
+def test_gadget_is_section_one_of_m():
+    base, base_outer = gadget()
+    sub, outer, gmap = section_gadget(mirzakhani(), 1)
+    assert base == sub  # vertices, adjacency and layout
+    assert base_outer == outer
+    assert all(gmap[v] == v for v in base.vertices)
+
+
+def test_restrict_refuses_missing_vertices():
+    with pytest.raises(GraphError, match=r"lists missing for 1 vertices, e\.g\. hub:5,0"):
+        wheel_lists().restrict([hub(0, 0), hub(5, 0)])

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -391,12 +392,71 @@ def test_export_cnf_requires_lists(files, capsys):
     assert "--lists" in capsys.readouterr().err
 
 
+# The `build` and `export` commands whose --out files are pinned below; the
+# exports read the files that `build mirzakhani` writes.
+BUILD_EXPORT_COMMANDS = (
+    "build mirzakhani --out m.json --lists m.lists.json",
+    "build gadget --out gadget.json --lists gadget.lists.json",
+    "build wheel4 --out wheel4.json",
+    "export --graph m.json --format dimacs --out m.dimacs",
+    "export --graph m.json --format dot --out m.dot",
+    "export --graph m.json --format cnf --lists m.lists.json --out m.cnf",
+)
+
+# sha256 of each file those commands write, bytes as written.
+BUILD_EXPORT_SHA256 = {
+    "m.json": "43c58a390d2c0bb225c800a555eb5e5844b07ff807adc443d0413635ec877bcf",
+    "m.lists.json": "8de5915f39d862e67e738c3ac71bf99a52905b043f853e64ba2a7557c9dc98ef",
+    "gadget.json": "305249071c566e136349256e461a5fab4276162a29905897d967441b4a143eb6",
+    "gadget.lists.json": "1e8d09c91d58247c1b680b9416a9878abb199ba88e25833a185707126e25b299",
+    "wheel4.json": "8ff86f5734a78a1bf3f73e70e950d572b4e3315845dc5ffa9b3145ef4a46fcc2",
+    "m.dimacs": "5e1efc66058d178f7ecc48a139bf6ddeb46d5795b6102edc61b4fff2e371f276",
+    "m.dot": "086318bd76d44d6c45e8b1bd830c34eeb60854d3403a65e5b15b8cc74254876d",
+    "m.cnf": "0b84224d38ecf0e2a4ea808c14c6111236c8e355e9e17a43f3468ab31f55276f",
+}
+
+
+@pytest.fixture(scope="module")
+def built(tmp_path_factory):
+    """A directory holding the files BUILD_EXPORT_COMMANDS write."""
+    root = tmp_path_factory.mktemp("pinned")
+    for command in BUILD_EXPORT_COMMANDS:
+        argv = [str(root / a) if "." in a else a for a in command.split()]
+        assert main(argv) == 0, command
+    return root
+
+
+@pytest.mark.parametrize("name", sorted(BUILD_EXPORT_SHA256))
+def test_build_and_export_outputs_are_pinned(name, built):
+    digest = hashlib.sha256((built / name).read_bytes()).hexdigest()
+    assert digest == BUILD_EXPORT_SHA256[name]
+
+
 # ------------------------------------------------------------ error paths
 
 
 def test_missing_file_exits_2(capsys):
     assert main(["solve", "--graph", "/nonexistent.json", "--k", "3"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_huge_dimacs_vertex_count_exits_2(tmp_path):
+    # A 20-byte file that declares 3·10^8 vertices is refused before anything
+    # is allocated, so it exits 2 even in a 512 MB address space.
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    col = tmp_path / "big.col"
+    col.write_text("p edge 300000000 0\n")
+    src = os.path.dirname(os.path.dirname(colorlab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "colorlab", "solve", "--graph", str(col), "--k", "3"],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=src), text=True,
+        preexec_fn=limit_memory, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 GARBAGE = {

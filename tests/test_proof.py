@@ -241,3 +241,13 @@ def test_theorem_replay_names_a_spent_budget_without_a_node_count():
     text = cert.transcript()
     assert "[FAILED] direct solve: witness check undecided within 5 nodes" in text
     assert "0 nodes" not in text
+
+
+def test_theorem_replay_names_missing_lists():
+    # A list assignment without corner:1,1 fails the section-1 lemma with the
+    # same message the solver gives, not a bare KeyError.
+    ls = canonical_lists()
+    bad = ListAssignment(ls.palette, {v: c for v, c in ls.lists.items() if v != corner(1, 1)})
+    cert = theorem_replay(lists=bad)
+    assert not cert.certified
+    assert "gadget-lemma-1 (lists missing for 1 vertices, e.g. corner:1,1)" in cert.verdict

@@ -283,3 +283,23 @@ def test_cnf_matches_decide_on_random_instances():
         assert sat == decide(g, lists).sat, f"seed {seed}"
         checked += 1
     assert checked >= 100
+
+
+def test_cnf_export_is_not_bound_by_the_kernel_palette():
+    # The CNF channel cross-checks the kernel, so it does not go through the
+    # kernel's translation or its 64-color limit.
+    a, b = plain(0), plain(1)
+    g = make_graph([a, b], [(a, b)])
+    lists = make_lists(range(1, 66), {a: (1, 65), b: (2, 65)})
+    with pytest.raises(GraphError, match="palette size 65 exceeds 64"):
+        decide(g, lists)
+    doc = to_cnf(g, lists)
+    assert doc.nvars == 4
+    assert doc.clauses == ((1, 2), (3, 4), (-2, -4))
+
+
+def test_cnf_export_refuses_missing_lists():
+    a, b = plain(0), plain(1)
+    g = make_graph([a, b], [(a, b)])
+    with pytest.raises(GraphError, match=r"lists missing for 1 vertices, e\.g\. plain:1"):
+        to_cnf(g, make_lists((1, 2), {a: (1, 2)}))
