@@ -71,6 +71,8 @@ class ListAssignment:
                 raise GraphError(f"list at {v} leaves the palette: {lst}")
 
     def list_of(self, v: VertexId) -> tuple[int, ...]:
+        if v not in self.lists:
+            self.require((v,))
         return self.lists[v]
 
     def require(self, vertices: Iterable[VertexId]) -> None:
@@ -86,8 +88,10 @@ class ListAssignment:
 
     def without_color(self, vertices: Iterable[VertexId], color: int) -> "ListAssignment":
         """Copy with ``color`` removed from the lists of ``vertices``."""
+        vs = tuple(vertices)
+        self.require(vs)
         new = dict(self.lists)
-        for v in vertices:
+        for v in vs:
             new[v] = tuple(c for c in new[v] if c != color)
         return ListAssignment(self.palette, new)
 

@@ -21,9 +21,9 @@ from colorlab.build import ListAssignment, make_lists
 from colorlab.graph import Graph, GraphError, VertexId
 from colorlab.solve import (
     DEFAULT_BUDGET,
-    MAX_PALETTE,
     BudgetExhausted,
     check_mask_witness,
+    check_palette,
     decide,
 )
 
@@ -249,8 +249,7 @@ def random_probe(
     _check_list_size(k, colors)
     if trials < 0:
         raise GraphError(f"trial count must be nonnegative, got {trials}")
-    if len(colors) > MAX_PALETTE:
-        raise GraphError(f"palette size {len(colors)} exceeds {MAX_PALETTE}")
+    check_palette(len(colors))
     n = g.n
     adj = g.int_adj
     edges = g.int_edges

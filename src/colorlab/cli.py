@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import Iterable, Optional
 
 from colorlab import graphio
@@ -231,19 +232,10 @@ def _cmd_prove(args: argparse.Namespace) -> int:
         return _exit_code(ok, [cert])
     if args.families:
         fam = forcing_families(budget=args.budget)
-        payload = {
-            "passed": fam.passed,
-            "examined": fam.examined,
-            "patterns": [list(p) for p in fam.patterns],
-            "hub_list": list(fam.hub_list),
-            "hub_blocked": fam.hub_blocked,
-            "outside_example": list(fam.outside_example) if fam.outside_example else None,
-        }
-        if fam.reason:
-            payload["reason"] = fam.reason
+        payload = asdict(fam)
+        if not fam.reason:
+            del payload["reason"]
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
-        if fam.reason.startswith("enumeration exhausted"):
-            return EXIT_BUDGET
         return EXIT_OK if fam.passed else EXIT_FAIL
     cert = theorem_replay(budget=args.budget)
     _emit(cert.to_json() if args.json else cert.transcript(), args.out)

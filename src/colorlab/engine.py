@@ -51,6 +51,11 @@ UNSAT, SAT, EXHAUSTED = 0, 1, 2
 
 MODE_DECIDE, MODE_COUNT, MODE_ENUM = 0, 1, 2
 
+# The most colors a domain may hold.  The minimum-remaining-values scan
+# starts from a sentinel one above it, so a vertex whose domain held more
+# could never be chosen for branching.
+MAX_PALETTE = 64
+
 
 def solve_colors(n, adj, domains, budget, mode, on_solution=None):
     """Run the list-coloring search on an indexed instance.
@@ -126,6 +131,7 @@ def solve_colors(n, adj, domains, budget, mode, on_solution=None):
     pending.clear()
 
     nodes = count = 0
+    wide = MAX_PALETTE + 1
     # One frame per decision vertex on the current path:
     # [vertex, conflict set, colors left to try, atrail mark, rtrail mark].
     # The conflict set starts from the decisions that already pruned the
@@ -161,7 +167,7 @@ def solve_colors(n, adj, domains, budget, mode, on_solution=None):
         else:
             # After a successful propagation every unassigned domain holds
             # at least 2 colors, so the first 2 found is the minimum.
-            best, best_size = -1, 65
+            best, best_size = -1, wide
             for v in range(n):
                 if color[v] < 0:
                     size = dom[v].bit_count()

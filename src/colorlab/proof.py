@@ -7,7 +7,9 @@ without that color the central wheel's corners fall into exactly three
 color families, each of which exhausts the central hub's list.  Chained
 over the four sections, the apex (adjacent to every corner, list
 {1,2,3,4}) is left without a color.  Every "forces" here is replayed as
-an exact enumeration or UNSAT check — no symbolic reasoning.
+an exact enumeration or UNSAT check — no symbolic reasoning.  An
+enumeration that runs out of budget raises BudgetExhausted: no partial
+report is made.
 
 ``theorem_replay`` decides no claim itself: it runs the registered claims
 in THEOREM_CLAIMS (the four section lemmas, the direct monolithic UNSAT
@@ -30,8 +32,8 @@ from colorlab.build import (
     wheel4,
     wheel_lists,
 )
-from colorlab.graph import GraphError, VertexId, corner, delete_vertices, hub
-from colorlab.solve import DEFAULT_BUDGET, decide, enumerate_colorings
+from colorlab.graph import Graph, GraphError, VertexId, corner, delete_vertices, hub
+from colorlab.solve import DEFAULT_BUDGET, BudgetExhausted, decide, enumerate_colorings
 from colorlab.verify import GadgetLemma, gadget_lemma  # noqa: F401 - re-exported
 from colorlab.verify import DEFAULT_BUDGETS, run_claim
 
@@ -73,6 +75,21 @@ class ForcingReport:
     examined: int
 
 
+def _colorings(
+    g: Graph, lists: ListAssignment, watch: tuple[VertexId, ...], budget: int
+) -> list[tuple[int, ...]]:
+    """The colors of ``watch`` in each proper list coloring, in enumeration order."""
+    seen: list[tuple[int, ...]] = []
+    res = enumerate_colorings(
+        g, lists, lambda col: seen.append(tuple(col[v] for v in watch)), budget
+    )
+    if res.status == "EXHAUSTED":
+        raise BudgetExhausted(
+            f"enumeration incomplete within {budget} nodes after {len(seen)} colorings"
+        )
+    return seen
+
+
 def wheel_forcing(
     pin_vertex: VertexId, pin_color: int, budget: int = DEFAULT_BUDGET
 ) -> ForcingReport:
@@ -89,23 +106,14 @@ def wheel_forcing(
         lists.palette,
         {v: ((pin_color,) if v == pin_vertex else lists.list_of(v)) for v in g.vertices},
     )
-    candidates: dict[VertexId, set[int]] = {v: set() for v in g.vertices}
-
-    def visit(coloring: dict[VertexId, int]) -> None:
-        for v, c in coloring.items():
-            candidates[v].add(c)
-
-    res = enumerate_colorings(g, pinned_lists, visit, budget)
+    colorings = _colorings(g, pinned_lists, g.vertices, budget)
+    # zip(*colorings) gives each vertex the colors it takes, in vertex order.
     forced = {
-        v: next(iter(cs))
-        for v, cs in candidates.items()
-        if len(cs) == 1 and v != pin_vertex
+        v: seen[0]
+        for v, seen in zip(g.vertices, zip(*colorings))
+        if len(set(seen)) == 1 and v != pin_vertex
     }
-    return ForcingReport(
-        pinned={pin_vertex: pin_color},
-        forced=dict(sorted(forced.items())),
-        examined=res.count,
-    )
+    return ForcingReport({pin_vertex: pin_color}, forced, len(colorings))
 
 
 @dataclass(frozen=True)
@@ -141,17 +149,8 @@ def forcing_families(budget: int = DEFAULT_BUDGET) -> FamiliesResult:
             raise GraphError(f"central hub is not adjacent to {c}")
 
     reduced = lists.restrict(hubless.vertices).without_color(outer, 1)
-    patterns: set[tuple[int, int, int, int]] = set()
-
-    def visit(coloring: dict[VertexId, int]) -> None:
-        patterns.add(tuple(coloring[c] for c in CENTRAL_CORNERS))
-
-    res = enumerate_colorings(hubless, reduced, visit, budget)
-    if res.status == "EXHAUSTED":
-        return FamiliesResult(
-            False, res.count, tuple(sorted(patterns)), hub_list, False, None,
-            reason=f"enumeration exhausted the budget {budget}",
-        )
+    colorings = _colorings(hubless, reduced, CENTRAL_CORNERS, budget)
+    patterns = set(colorings)
 
     # With color 1 allowed back, exhibit one coloring outside the families:
     # no family colors a central corner 1, so pinning 1 there suffices.
@@ -169,13 +168,12 @@ def forcing_families(budget: int = DEFAULT_BUDGET) -> FamiliesResult:
             outside = tuple(r.witness[cc] for cc in CENTRAL_CORNERS)
             break
 
-    in_families = patterns == set(FAMILIES)
     hub_blocked = all(set(f) >= set(hub_list) for f in FAMILIES)
-    passed = in_families and hub_blocked and res.count > 0 and outside is not None
+    passed = patterns == set(FAMILIES) and hub_blocked and outside is not None
     reason = "" if passed else "pattern classification failed"
     return FamiliesResult(
         passed,
-        res.count,
+        len(colorings),
         tuple(sorted(patterns)),
         hub_list,
         hub_blocked,

@@ -15,14 +15,10 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 from colorlab import engine
 from colorlab.build import ListAssignment, uniform_lists
+from colorlab.engine import MAX_PALETTE
 from colorlab.graph import Graph, GraphError, VertexId
 
 DEFAULT_BUDGET = 10**7
-
-# The kernel's minimum-remaining-values scan starts from the sentinel
-# best_size = 65, so a vertex whose domain holds more than 64 colors could
-# never be chosen for branching.
-MAX_PALETTE = 64
 
 _STATUS = {engine.UNSAT: "UNSAT", engine.SAT: "SAT", engine.EXHAUSTED: "EXHAUSTED"}
 
@@ -78,12 +74,17 @@ class CountResult:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
 
+def check_palette(size: int) -> None:
+    """Raise GraphError if the kernel cannot branch on ``size`` colors."""
+    if size > MAX_PALETTE:
+        raise GraphError(f"palette size {size} exceeds {MAX_PALETTE}")
+
+
 def _indexed(g: Graph, lists: ListAssignment):
     """Translate to the kernels' form: vertex order, integer adjacency, masks."""
     order = g.vertices
     lists.require(order)
-    if len(lists.palette) > MAX_PALETTE:
-        raise GraphError(f"palette size {len(lists.palette)} exceeds {MAX_PALETTE}")
+    check_palette(len(lists.palette))
     pos = {c: i for i, c in enumerate(lists.palette)}
     domains = [sum(1 << pos[c] for c in lists.list_of(v)) for v in order]
     return order, g.int_adj, domains
@@ -151,6 +152,8 @@ def verify_coloring(
     missing = [v for v in g.vertices if v not in coloring]
     if missing:
         raise GraphError(f"coloring is partial: {len(missing)} vertices unassigned")
+    if not isinstance(constraint, int):
+        constraint.require(g.vertices)
     violations = []
     for v in g.vertices:
         c = coloring[v]

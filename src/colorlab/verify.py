@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cmp_to_key, partial
+from functools import partial
 from typing import Iterable, Mapping, Optional
 
 from colorlab import __version__
@@ -102,41 +102,37 @@ def validate_rotation(g: Graph, rot: RotationSystem) -> None:
             raise GraphError(f"rotation at {v} is not a permutation of its neighbors")
 
 
-def _half(dx: Fraction, dy: Fraction) -> int:
-    """0 for directions with angle in [0, pi), 1 for [pi, 2*pi)."""
-    return 0 if dy > 0 or (dy == 0 and dx > 0) else 1
+def _exact_layout(g: Graph) -> dict[VertexId, tuple[Fraction, Fraction]]:
+    """The layout as exact rational pairs, converted once per call."""
+    return {v: (Fraction(x), Fraction(y)) for v, (x, y) in g.layout.items()}
 
 
 def rotation_from_layout(g: Graph) -> RotationSystem:
     """Order every vertex's neighbors counterclockwise by layout angle.
 
-    Comparisons are exact (integer/Fraction cross products), so collinear
+    The sort key is exact: the half plane ([0, pi) before [pi, 2*pi)),
+    then whether the direction is that half's first ray (dy == 0), then
+    -dx/dy, which increases with the angle inside either half.  Collinear
     ties are detected, not rounded: two neighbors in exactly the same
     direction raise an error naming the vertex.
     """
     if g.layout is None:
         raise GraphError("graph has no layout to orient by")
+    at = _exact_layout(g)
     rotation: dict[VertexId, tuple[VertexId, ...]] = {}
     for v in g.vertices:
-        vx, vy = g.layout[v]
-        dirs = []
+        vx, vy = at[v]
+        keyed = []
         for u in g.adj[v]:
-            ux, uy = g.layout[u]
-            dirs.append((u, Fraction(ux) - Fraction(vx), Fraction(uy) - Fraction(vy)))
-
-        def cmp(a, b):
-            ha, hb = _half(a[1], a[2]), _half(b[1], b[2])
-            if ha != hb:
-                return -1 if ha < hb else 1
-            cross = a[1] * b[2] - a[2] * b[1]
-            if cross > 0:
-                return -1
-            if cross < 0:
-                return 1
-            raise GraphError(f"neighbors {a[0]} and {b[0]} of {v} lie at equal angle")
-
-        dirs.sort(key=cmp_to_key(cmp))
-        rotation[v] = tuple(u for u, _, _ in dirs)
+            ux, uy = at[u]
+            dx, dy = ux - vx, uy - vy
+            half = 0 if dy > 0 or (dy == 0 and dx > 0) else 1
+            keyed.append(((half, dy != 0, -dx / dy if dy else 0), u))
+        keyed.sort()
+        for (a, u), (b, w) in zip(keyed, keyed[1:]):
+            if a == b:
+                raise GraphError(f"neighbors {u} and {w} of {v} lie at equal angle")
+        rotation[v] = tuple(u for _, u in keyed)
     return RotationSystem(rotation)
 
 
@@ -177,16 +173,6 @@ def face_census(rot: RotationSystem) -> FaceCensus:
     return FaceCensus(faces=tuple(faces), v=nv, e=ne, f=nf, euler=nv - ne + nf)
 
 
-def _signed_area2(g: Graph, walk: list[VertexId]) -> Fraction:
-    """Twice the shoelace area of the walk's polygon (exact)."""
-    total = Fraction(0)
-    for i, u in enumerate(walk):
-        w = walk[(i + 1) % len(walk)]
-        (ux, uy), (wx, wy) = g.layout[u], g.layout[w]
-        total += Fraction(ux) * Fraction(wy) - Fraction(wx) * Fraction(uy)
-    return total
-
-
 def outer_walk(g: Graph, rot: Optional[RotationSystem] = None) -> tuple[VertexId, ...]:
     """The outer face of the layout embedding, as a simple closed walk.
 
@@ -200,12 +186,13 @@ def outer_walk(g: Graph, rot: Optional[RotationSystem] = None) -> tuple[VertexId
         rot = rotation_from_layout(g)
     if g.layout is None:
         raise GraphError("outer_walk needs a layout")
-    census = face_census(rot)
+    at = _exact_layout(g)
     positives = []
-    for face in census.faces:
-        verts = [u for u, _ in face]
-        if _signed_area2(g, verts) > 0:
-            positives.append(verts)
+    for face in face_census(rot).faces:
+        # Twice the face's signed area, by the shoelace formula.
+        area2 = sum(at[u][0] * at[w][1] - at[w][0] * at[u][1] for u, w in face)
+        if area2 > 0:
+            positives.append([u for u, _ in face])
     if len(positives) != 1:
         raise GraphError(
             f"expected exactly one positive-area face, found {len(positives)}"

@@ -187,3 +187,13 @@ def test_gadget_is_section_one_of_m():
 def test_restrict_refuses_missing_vertices():
     with pytest.raises(GraphError, match=r"lists missing for 1 vertices, e\.g\. hub:5,0"):
         wheel_lists().restrict([hub(0, 0), hub(5, 0)])
+
+
+def test_list_of_refuses_a_missing_vertex():
+    with pytest.raises(GraphError, match=r"^lists missing for 1 vertices, e\.g\. hub:99,0$"):
+        canonical_lists().list_of(hub(99, 0))
+
+
+def test_without_color_refuses_a_missing_vertex():
+    with pytest.raises(GraphError, match=r"^lists missing for 1 vertices, e\.g\. hub:99,0$"):
+        canonical_lists().without_color([hub(99, 0)], 1)

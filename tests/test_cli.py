@@ -543,3 +543,45 @@ def test_audit_solve_budget_exits_3(capsys):
         assert claims[name]["certificate"]["status"] == "EXHAUSTED"
         assert "error" in claims[name]["certificate"]
     assert claims["hamiltonian"]["status"] == "pass"
+
+
+# ------------------------------------------------------------ budget exits
+
+
+def test_probe_budget_exits_3(files, capsys):
+    code = main(
+        ["choosability", "--graph", str(files["m"]), "--probe", "--k", "3",
+         "--trials", "5", "--budget", "1"]
+    )
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "budget exhausted: trial 0 undecided within 1 nodes; probe aborted\n"
+
+
+def test_witness_budget_exits_3(files, capsys):
+    code = main(
+        ["choosability", "--graph", str(files["m"]), "--witness", str(files["lists"]),
+         "--k", "4", "--budget", "3"]
+    )
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "budget exhausted: witness check undecided within 3 nodes\n"
+
+
+def test_exhaustive_budget_exits_3(files, capsys):
+    code = main(["choosability", "--graph", str(files["m"]), "--k", "2", "--budget", "1"])
+    assert code == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "Exhausted"
+    assert payload["reason"] == "node budget 1 ran out after 1 assignments"
+
+
+def test_prove_families_budget_exits_3(capsys):
+    # A spent enumeration budget prints no partial classification.
+    assert main(["prove", "--families", "--budget", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("budget exhausted: ")
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -169,6 +169,19 @@ def test_hamilton_on_m():
     assert digest(cycle) == M_CYCLE_DIGEST
 
 
+def test_hamilton_connectivity_prune():
+    # Two triangles hang off the edge 0-1.  After the path 0, 1 the
+    # unvisited vertices split into {2, 3, 4} and {5, 6, 7}, which only the
+    # connectivity prune sees; the search then goes round through 4.
+    vs = [plain(i) for i in range(8)]
+    pairs = [(0, 1), (1, 2), (1, 5), (0, 4), (0, 7)]
+    pairs += [(2, 3), (3, 4), (2, 4), (5, 6), (6, 7), (5, 7)]
+    g = make_graph(vs, [(vs[a], vs[b]) for a, b in pairs])
+    status, cycle, nodes = hamilton_cycle(g.n, g.int_adj, 10**6)
+    assert (status, cycle, nodes) == (SAT, [0, 4, 3, 2, 1, 5, 6, 7], 8)
+    assert check_hamiltonian_cycle(g, [vs[i] for i in cycle]) == []
+
+
 # ------------------------------------------- searches deeper than the C stack
 
 DEEP = 1500

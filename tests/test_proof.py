@@ -17,7 +17,7 @@ from colorlab.proof import (
     theorem_replay,
     wheel_forcing,
 )
-from colorlab.solve import decide
+from colorlab.solve import BudgetExhausted, decide
 from colorlab.verify import run_claim
 
 SW, SE, NE, NW = corner(-1, -1), corner(1, -1), corner(1, 1), corner(-1, 1)
@@ -45,6 +45,43 @@ def test_every_wheel_coloring_extends_some_pin():
     free = wheel_forcing(SW, 2).examined + wheel_forcing(SW, 4).examined
     free += wheel_forcing(SW, 5).examined
     assert total == free  # both sums enumerate all proper colorings once
+
+
+# Every (vertex, color) pin of the wheel lists: what it forces, and how
+# many wheel colorings extend it.
+WHEEL_PINS = {
+    (hub(0, 0), 2): ({}, 6),
+    (hub(0, 0), 3): ({}, 6),
+    (hub(0, 0), 4): ({}, 6),
+    (hub(0, 0), 5): ({}, 6),
+    (SW, 2): ({}, 11),
+    (SW, 4): ({}, 11),
+    (SW, 5): ({NW: 3, SE: 3}, 2),
+    (NW, 2): ({SW: 4, NE: 4}, 2),
+    (NW, 3): ({}, 11),
+    (NW, 5): ({}, 11),
+    (SE, 3): ({}, 11),
+    (SE, 4): ({SW: 2, NE: 2}, 2),
+    (SE, 5): ({}, 11),
+    (NE, 2): ({}, 11),
+    (NE, 3): ({NW: 5, SE: 5}, 2),
+    (NE, 4): ({}, 11),
+}
+
+
+@pytest.mark.parametrize("pin", sorted(WHEEL_PINS), ids=lambda p: f"{p[0]}={p[1]}")
+def test_wheel_forcing_pins(pin):
+    forced, examined = WHEEL_PINS[pin]
+    report = wheel_forcing(*pin)
+    assert report.pinned == dict([pin])
+    assert list(report.forced.items()) == sorted(forced.items())
+    assert report.examined == examined
+
+
+def test_wheel_forcing_budget_raises():
+    # Two nodes see one coloring, which would "force" every vertex.
+    with pytest.raises(BudgetExhausted, match="within 2 nodes after 1 colorings"):
+        wheel_forcing(NW, 2, budget=2)
 
 
 def test_pin_must_be_a_wheel_vertex():
@@ -136,6 +173,11 @@ def test_forcing_families_outside_example():
     assert result.outside_example is not None
     assert result.outside_example not in FAMILIES
     assert 1 in result.outside_example  # only possible once color 1 returns
+
+
+def test_forcing_families_budget_raises():
+    with pytest.raises(BudgetExhausted, match="within 1400 nodes"):
+        forcing_families(budget=1400)
 
 
 def test_central_wheel_constants():

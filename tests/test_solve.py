@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from colorlab.build import ListAssignment, make_lists, mirzakhani, canonical_lists, uniform_lists, wheel4, wheel_lists
 from colorlab.choose import SplitMix64
-from colorlab.graph import Graph, GraphError, make_graph, plain
+from colorlab.graph import Graph, GraphError, hub, make_graph, plain
 from colorlab.solve import (
     BudgetExhausted,
     chromatic_number,
@@ -211,6 +211,12 @@ def test_verify_coloring_rejects_partial():
     g = k3()
     with pytest.raises(GraphError, match="partial"):
         verify_coloring(g, 3, {plain(0): 1})
+
+
+def test_verify_coloring_refuses_missing_lists():
+    g = make_graph([hub(99, 0)], [])
+    with pytest.raises(GraphError, match=r"^lists missing for 1 vertices, e\.g\. hub:99,0$"):
+        verify_coloring(g, canonical_lists(), {hub(99, 0): 1})
 
 
 # --------------------------------------------------------- chromatic number

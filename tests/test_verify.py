@@ -3,8 +3,11 @@
 import hashlib
 import itertools
 import json
+from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colorlab.build import canonical_lists, mirzakhani, wheel4
 from colorlab.choose import SplitMix64
@@ -92,6 +95,55 @@ def test_equal_angle_neighbors_rejected():
     )
     with pytest.raises(GraphError, match="equal angle"):
         rotation_from_layout(g)
+
+
+class EqualAngle(Exception):
+    pass
+
+
+def cross_order(directions):
+    """Reference counterclockwise order from angle 0 by exact cross
+    products: the half plane [0, pi) first, then the sign of the cross
+    product; two directions at one angle raise EqualAngle."""
+
+    def half(dx, dy):
+        return 0 if dy > 0 or (dy == 0 and dx > 0) else 1
+
+    def cmp(a, b):
+        (_, ax, ay), (_, bx, by) = a, b
+        if half(ax, ay) != half(bx, by):
+            return half(ax, ay) - half(bx, by)
+        cross = ax * by - ay * bx
+        if cross == 0:
+            raise EqualAngle
+        return -1 if cross > 0 else 1
+
+    return [u for u, _, _ in sorted(directions, key=cmp_to_key(cmp))]
+
+
+COORD = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.tuples(COORD, COORD), st.lists(st.tuples(COORD, COORD), min_size=1, max_size=9))
+def test_rotation_key_matches_cross_products(centre, points):
+    # A star: the centre's rotation is its neighbours in angle order, and
+    # a collinear pair is refused exactly where the cross products tie.
+    points = [p for p in points if p != centre]
+    vs = [plain(i) for i in range(len(points) + 1)]
+    g = make_graph(vs, [(vs[0], v) for v in vs[1:]], layout=dict(zip(vs, [centre, *points])))
+    cx, cy = centre
+    directions = [(v, Fraction(x) - cx, Fraction(y) - cy) for v, (x, y) in zip(vs[1:], points)]
+    try:
+        expected = cross_order(directions)
+    except EqualAngle:
+        with pytest.raises(GraphError, match="equal angle"):
+            rotation_from_layout(g)
+    else:
+        assert rotation_from_layout(g).rotation[vs[0]] == tuple(expected)
 
 
 def test_validate_rotation_rejects_bad_cover():
