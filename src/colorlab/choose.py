@@ -34,10 +34,11 @@ _M64 = (1 << 64) - 1
 class ChoosabilityVerdict:
     """Outcome of a choosability question.
 
-    kind: WitnessConfirmed | WitnessRefuted | Choosable | NotChoosable |
-    Exhausted.  NotChoosable carries the offending assignment (all lists of
-    size k, decide = UNSAT); WitnessRefuted carries the reason and, when the
-    reason is a found coloring, that coloring.
+    kind: WitnessConfirmed | WitnessRefuted | Choosable | NotChoosable.
+    NotChoosable carries the offending assignment (all lists of size k,
+    decide = UNSAT); WitnessRefuted carries the reason and, when the reason
+    is a found coloring, that coloring.  A spent budget is never a verdict:
+    both analyses raise BudgetExhausted.
     """
 
     kind: str
@@ -115,16 +116,17 @@ def choosability_exhaustive(
     Iterates every assignment of k-subsets of the pool to the vertices,
     canonicalized up to color renaming (first-occurrence form), and solves
     each.  The first UNSAT assignment found is the lexicographically least
-    bad one.  `budget` bounds the *total* search nodes across assignments.
-    `symmetry=False` disables the renaming canonicalization; it exists so
-    tests can confirm the pruning changes nothing.
+    bad one.  `budget` bounds the *total* search nodes across assignments,
+    each assignment costing at least one; a spent budget raises
+    BudgetExhausted.  `symmetry=False` disables the renaming
+    canonicalization; it exists so tests can confirm the pruning changes
+    nothing.
     """
     colors = sorted(set(pool))
     _check_list_size(k, colors)
     order = g.vertices
     n = len(order)
-    spent = 0
-    examined = 0
+    spent = charged = examined = 0
     rows_cache: dict[int, list[tuple[int, ...]]] = {}
 
     def rows_for(used: int) -> list[tuple[int, ...]]:
@@ -156,15 +158,17 @@ def choosability_exhaustive(
         lists = make_lists(
             colors, {v: tuple(colors[c - 1] for c in row) for v, row in zip(order, rows)}
         )
-        res = decide(g, lists, budget - spent)
+        res = decide(g, lists, budget - charged)
         spent += res.nodes
+        # An assignment that propagation alone decides visits no node but
+        # costs one unit, so the budget also bounds the number of assignments
+        # (Bell(n) on an edgeless graph with k = 1).  charged passes the
+        # budget only on such an assignment, examined with nothing left.
+        charged += max(res.nodes, 1)
         examined += 1
-        if res.status == "EXHAUSTED":
-            return ChoosabilityVerdict(
-                "Exhausted",
-                reason=f"node budget {budget} ran out after {examined} assignments",
-                examined=examined,
-                nodes=spent,
+        if res.status == "EXHAUSTED" or charged > budget:
+            raise BudgetExhausted(
+                f"node budget {budget} ran out after {examined} assignments"
             )
         if not res.sat:
             return ChoosabilityVerdict(

@@ -3,7 +3,7 @@
 Exit codes: 0 = success / claims pass; 1 = claims fail, or UNSAT where a
 coloring was asked for; 2 = usage or input errors; 3 = a node budget ran
 out before an answer was reached.  All outputs are deterministic for fixed
-arguments, and every report carries the budgets and seeds it was run with.
+arguments, and every report carries the budget and seed it was run with.
 """
 
 from __future__ import annotations
@@ -36,13 +36,7 @@ from colorlab.solve import (
     decide,
     to_cnf,
 )
-from colorlab.verify import (
-    DEFAULT_BUDGETS,
-    DEFAULT_HAMILTON_BUDGET,
-    audit,
-    not_choosable_claim,
-    run_claim,
-)
+from colorlab.verify import audit, not_choosable_claim, run_claim
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -118,10 +112,8 @@ def _load_lists(path: str) -> ListAssignment:
 
 
 def _exit_code(ok: bool, certs: Iterable[dict]) -> int:
-    """EXIT_BUDGET when any certificate, or a gadget lemma's reduced or
-    unreduced solve, ran out of budget; otherwise pass or fail."""
-    solves = (s for c in certs for s in (c, c.get("reduced", {}), c.get("unreduced", {})))
-    if any(s.get("status") == "EXHAUSTED" for s in solves):
+    """EXIT_BUDGET when any certificate ran out of budget, else pass or fail."""
+    if any(c.get("status") == "EXHAUSTED" for c in certs):
         return EXIT_BUDGET
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -182,14 +174,13 @@ def _cmd_choosability(args: argparse.Namespace) -> int:
         ok, payload = not_choosable_claim(g, lists, args.k, args.budget)
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
         return EXIT_OK if ok else EXIT_FAIL
+    pool = args.pool if args.pool else default_pool(args.k)
     if args.probe:
-        pool = args.pool if args.pool else default_pool(args.k)
         report = random_probe(
             g, args.k, args.trials, args.seed, pool=pool, budget=args.budget
         )
         _emit(report.to_json(), args.out)
         return EXIT_OK
-    pool = args.pool if args.pool else default_pool(args.k)
     verdict = choosability_exhaustive(g, args.k, pool, budget=args.budget)
     payload = {
         "verdict": verdict.kind,
@@ -202,21 +193,16 @@ def _cmd_choosability(args: argparse.Namespace) -> int:
         payload["bad_assignment"] = {
             str(v): list(l) for v, l in sorted(verdict.assignment.lists.items())
         }
-    if verdict.reason:
-        payload["reason"] = verdict.reason
     _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    if verdict.kind == "Exhausted":
-        return EXIT_BUDGET
     return EXIT_OK if verdict.kind == "Choosable" else EXIT_FAIL
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     picked = [f for f in VERIFY_CLAIMS if getattr(args, f)] or list(VERIFY_CLAIMS)
-    budgets = dict(DEFAULT_BUDGETS, hamilton=args.hamilton_budget)
     results = {}
     for flag in picked:
-        ok, cert = run_claim(VERIFY_CLAIMS[flag], g, budgets=budgets)
+        ok, cert = run_claim(VERIFY_CLAIMS[flag], g, budget=args.budget)
         results[flag] = {**cert, "pass": ok}
     _emit(json.dumps(results, indent=2, sort_keys=True), args.out)
     return _exit_code(all(r["pass"] for r in results.values()), results.values())
@@ -225,8 +211,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_prove(args: argparse.Namespace) -> int:
     if args.section is not None:
         ok, cert = run_claim(
-            f"gadget-lemma-{args.section}", mirzakhani(), canonical_lists(),
-            dict(DEFAULT_BUDGETS, solve=args.budget),
+            f"gadget-lemma-{args.section}", mirzakhani(), canonical_lists(), args.budget
         )
         _emit(json.dumps(cert, indent=2, sort_keys=True), args.out)
         return _exit_code(ok, [cert])
@@ -245,12 +230,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph) if args.graph else None
     lists = _load_lists(args.lists) if args.lists else None
-    report = audit(
-        graph=g,
-        lists=lists,
-        solve_budget=args.budget,
-        hamilton_budget=args.hamilton_budget,
-    )
+    report = audit(graph=g, lists=lists, budget=args.budget)
     _emit(report.to_json(), args.out)
     return _exit_code(report.all_pass, (c["certificate"] for c in report.claims))
 
@@ -316,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     for flag in VERIFY_CLAIMS:
         p.add_argument(f"--{flag}", action="store_true")
-    p.add_argument("--hamilton-budget", type=_positive, default=DEFAULT_HAMILTON_BUDGET)
+    p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 
@@ -334,7 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", help="audit this graph instead of the built-in build")
     p.add_argument("--lists", help="audit these lists instead of the canonical ones")
     p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
-    p.add_argument("--hamilton-budget", type=_positive, default=DEFAULT_HAMILTON_BUDGET)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_audit)
 
@@ -358,7 +337,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BudgetExhausted as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (GraphError, OSError, json.JSONDecodeError) as exc:
+    except (GraphError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

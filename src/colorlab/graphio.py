@@ -8,13 +8,19 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from colorlab.build import ListAssignment, make_lists
-from colorlab.graph import Graph, GraphError, VertexId, make_graph, parse_vertex, plain
+from colorlab.graph import (
+    Coord,
+    Graph,
+    GraphError,
+    VertexId,
+    make_graph,
+    parse_vertex,
+    plain,
+)
 from colorlab.solve import CnfDocument
-
-Coord = Union[int, Fraction]
 
 # The largest vertex count a DIMACS problem line may declare.  The reader
 # allocates one vertex id per declared vertex before it sees a single edge,

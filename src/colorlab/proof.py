@@ -35,7 +35,7 @@ from colorlab.build import (
 from colorlab.graph import Graph, GraphError, VertexId, corner, delete_vertices, hub
 from colorlab.solve import DEFAULT_BUDGET, BudgetExhausted, decide, enumerate_colorings
 from colorlab.verify import GadgetLemma, gadget_lemma  # noqa: F401 - re-exported
-from colorlab.verify import DEFAULT_BUDGETS, run_claim
+from colorlab.verify import run_claim
 
 LEMMAS = tuple(f"gadget-lemma-{j}" for j in range(1, 5))
 # The registered claims the theorem rests on, in the order they are run.
@@ -266,8 +266,7 @@ def theorem_replay(
     """Replay the whole argument on M and cross-validate it against direct UNSAT."""
     g = mirzakhani()
     ls = lists if lists is not None else canonical_lists()
-    budgets = dict(DEFAULT_BUDGETS, solve=budget)
-    claims = {name: run_claim(name, g, ls, budgets) for name in THEOREM_CLAIMS}
+    claims = {name: run_claim(name, g, ls, budget) for name in THEOREM_CLAIMS}
     failures = [
         f"{name} ({_why(cert)})" if _why(cert) else name
         for name, (ok, cert) in claims.items()

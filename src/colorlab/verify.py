@@ -38,9 +38,6 @@ from colorlab.graph import (
 )
 from colorlab.solve import DEFAULT_BUDGET, BudgetExhausted, chromatic_number, decide
 
-DEFAULT_HAMILTON_BUDGET = 10**8
-DEFAULT_BUDGETS = {"solve": DEFAULT_BUDGET, "hamilton": DEFAULT_HAMILTON_BUDGET}
-
 DirectedEdge = tuple[VertexId, VertexId]
 
 
@@ -245,7 +242,7 @@ class HamiltonResult:
     budget: int
 
 
-def hamilton(g: Graph, budget: int = DEFAULT_HAMILTON_BUDGET) -> HamiltonResult:
+def hamilton(g: Graph, budget: int = DEFAULT_BUDGET) -> HamiltonResult:
     """Search for a Hamiltonian cycle.
 
     Pruned depth-first search (connectivity cut-off, unvisited-degree
@@ -444,7 +441,7 @@ def check_matching(g: Graph, matching: Iterable[tuple[VertexId, VertexId]]) -> l
 class AuditReport:
     claims: tuple[dict, ...]
     versions: dict
-    budgets: dict
+    budget: int
 
     @property
     def all_pass(self) -> bool:
@@ -488,7 +485,8 @@ def gadget_lemma(
     lists: Optional[ListAssignment] = None,
     budget: int = DEFAULT_BUDGET,
 ) -> GadgetLemma:
-    """Check the outer-corner color lemma for section j of M."""
+    """Check the outer-corner color lemma for section j of M; raises
+    BudgetExhausted when either solve runs out of budget."""
     g = m if m is not None else mirzakhani()
     ls = lists if lists is not None else canonical_lists()
     sub, outer, _ = section_gadget(g, j)
@@ -497,10 +495,7 @@ def gadget_lemma(
     r_red = decide(sub, reduced, budget)
     r_full = decide(sub, section_lists, budget)
     if r_red.status == "EXHAUSTED" or r_full.status == "EXHAUSTED":
-        return GadgetLemma(
-            j, False, r_red.status, r_full.status, r_red.nodes, r_full.nodes,
-            reason=f"budget {budget} exhausted before the lemma was certified",
-        )
+        raise BudgetExhausted(f"budget {budget} exhausted before the lemma was certified")
     passed = r_red.status == "UNSAT" and r_full.status == "SAT"
     reason = ""
     if r_red.status == "SAT":
@@ -520,22 +515,23 @@ def gadget_lemma(
 
 
 # ------------------------------------------------------------ claim registry
-# Each claim is defined once, as f(graph, lists, budgets) -> (ok, certificate),
-# where ``ok`` is its rule for a general graph and ``budgets`` has the keys
-# "solve" and "hamilton".  Helpers are called as module globals, so a
-# tracer that replaces them (perfbench/spans.py) sees every call.
+# Each claim is defined once, as f(graph, lists, budget) -> (ok, certificate),
+# where ``ok`` is its rule for a general graph and ``budget`` bounds the
+# nodes of each search it runs; a search that runs out raises
+# BudgetExhausted.  Helpers are called as module globals, so a tracer that
+# replaces them (perfbench/spans.py) sees every call.
 
 
 def _apex_deleted(g: Graph) -> Graph:
     return delete_vertices(g, [v for v in g.vertices if v.kind == "apex"])
 
 
-def _counts(g, lists, budgets):
+def _counts(g, lists, budget):
     hist = {str(d): count for d, count in degree_histogram(g).items()}
     return True, {"vertices": g.n, "edges": g.m, "degree_histogram": hist}
 
 
-def _planarity(g, lists, budgets):
+def _planarity(g, lists, budget):
     apexed = any(v.kind == "apex" for v in g.vertices)
     census = face_census(apex_embed(g) if apexed else rotation_from_layout(g))
     lengths = {str(k): c for k, c in sorted(census.face_lengths().items())}
@@ -543,8 +539,8 @@ def _planarity(g, lists, budgets):
     return census.euler == 2 and is_connected(g), cert
 
 
-def _chromatic(g, lists, budgets):
-    res = chromatic_number(g, budget=budgets["solve"])
+def _chromatic(g, lists, budget):
+    res = chromatic_number(g, budget)
     coloring = {str(v): c for v, c in sorted(res.witness.items())}
     return res.k == 3, {"k": res.k, "coloring": coloring}
 
@@ -561,13 +557,15 @@ def not_choosable_claim(
     return verdict.kind == "WitnessConfirmed", cert
 
 
-def _gadget_lemma(j, g, lists, budgets):
-    lemma = gadget_lemma(j, g, lists, budgets["solve"])
+def _gadget_lemma(j, g, lists, budget):
+    lemma = gadget_lemma(j, g, lists, budget)
     return lemma.passed, lemma.to_dict()
 
 
-def _hamiltonian(g, lists, budgets):
-    res = hamilton(g, budget=budgets["hamilton"])
+def _hamiltonian(g, lists, budget):
+    res = hamilton(g, budget)
+    if res.status == "EXHAUSTED":
+        raise BudgetExhausted(f"Hamilton search undecided within {budget} nodes")
     cert = {"status": res.status, "nodes": res.nodes}
     if res.status != "FOUND":
         return False, cert
@@ -616,7 +614,7 @@ def _cut_vertex(g: Graph) -> Optional[VertexId]:
     return next((g.vertices[v] for v in range(g.n) if c - 1 + pieces[v] >= 2), None)
 
 
-def _cut(g, lists, budgets):
+def _cut(g, lists, budget):
     # The construction's cut (the degree-7 vertices of the apex-deleted
     # graph), then the first single vertex that splits it: the first cut
     # that certifies is reported, and when none does, the construction's
@@ -637,7 +635,7 @@ def _cut(g, lists, budgets):
     }
 
 
-def _matching(g, lists, budgets):
+def _matching(g, lists, budget):
     rest = _apex_deleted(g)
     res = perfect_matching(rest)
     if res.matching is None:
@@ -652,7 +650,7 @@ CLAIMS = {
     "construction-counts": _counts,
     "planarity": _planarity,
     "chromatic-number-3": _chromatic,
-    "not-4-choosable": lambda g, ls, b: not_choosable_claim(g, ls, 4, b["solve"]),
+    "not-4-choosable": lambda g, ls, b: not_choosable_claim(g, ls, 4, b),
     "hamiltonian": _hamiltonian,
     "apex-deleted-not-hamiltonian": _cut,
     "apex-deleted-perfect-matching": _matching,
@@ -677,14 +675,14 @@ def run_claim(
     name: str,
     g: Graph,
     lists: Optional[ListAssignment] = None,
-    budgets: Mapping[str, int] = DEFAULT_BUDGETS,
+    budget: int = DEFAULT_BUDGET,
 ) -> tuple[bool, dict]:
-    """Run one registered claim; a raised exception is recorded as a failure,
-    and a spent solve budget also as status EXHAUSTED, as a spent Hamilton
-    budget is."""
+    """Run one registered claim.  A raised exception is recorded as a
+    failure; a spent budget is, in addition, the certificate
+    {"error", "status": "EXHAUSTED"}, the only form a spent budget takes."""
     claim = CLAIMS[name]
     try:
-        return claim(g, lists, budgets)
+        return claim(g, lists, budget)
     except BudgetExhausted as exc:
         return False, {"error": str(exc), "status": "EXHAUSTED"}
     except Exception as exc:  # noqa: BLE001 - a report must always complete
@@ -694,18 +692,16 @@ def run_claim(
 def audit(
     graph: Optional[Graph] = None,
     lists: Optional[ListAssignment] = None,
-    solve_budget: int = DEFAULT_BUDGET,
-    hamilton_budget: int = DEFAULT_HAMILTON_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> AuditReport:
     """Run the AUDIT_EXPECTS claims on the given graph/lists (defaults: the
     canonical construction).  Equal inputs give byte-identical JSON."""
     g = graph if graph is not None else mirzakhani()
     ls = lists if lists is not None else canonical_lists()
-    budgets = {"solve": solve_budget, "hamilton": hamilton_budget}
     claims = []
     for name, expect in AUDIT_EXPECTS:
-        ok, cert = run_claim(name, g, ls, budgets)
+        ok, cert = run_claim(name, g, ls, budget)
         ok = ok and all(cert.get(key) == value for key, value in expect.items())
         status = "pass" if ok else "fail"
         claims.append({"name": name, "status": status, "certificate": cert})
-    return AuditReport(tuple(claims), {"package": __version__}, budgets)
+    return AuditReport(tuple(claims), {"package": __version__}, budget)

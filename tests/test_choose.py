@@ -129,9 +129,19 @@ def test_exhaustive_pool_too_small():
 
 
 def test_exhaustive_budget_exhaustion_verdict():
-    verdict = choosability_exhaustive(k3(), 2, range(1, 7), budget=1)
-    assert verdict.kind == "Exhausted"
-    assert verdict.examined >= 1
+    with pytest.raises(BudgetExhausted, match="node budget 1 ran out after 1 assignments"):
+        choosability_exhaustive(k3(), 2, range(1, 7), budget=1)
+
+
+def test_exhaustive_budget_counts_assignments_decided_without_a_node():
+    # Each of the Bell(7) = 877 assignments of an edgeless graph is decided
+    # in 0 nodes and charged one unit: a budget of 877 covers them and still
+    # reports 0 nodes, one less runs out.  (The CLI test runs Bell(16).)
+    seven = make_graph([plain(i) for i in range(7)], [])
+    verdict = choosability_exhaustive(seven, 1, range(1, 8), budget=877)
+    assert (verdict.kind, verdict.examined, verdict.nodes) == ("Choosable", 877, 0)
+    with pytest.raises(BudgetExhausted, match="after 877 assignments"):
+        choosability_exhaustive(seven, 1, range(1, 8), budget=876)
 
 
 def test_exhaustive_arbitrary_pool_labels():

@@ -250,11 +250,13 @@ def test_verify_subset_of_checks(files, capsys):
 
 
 def test_verify_hamilton_budget_exits_3(files, capsys):
-    code = main(
-        ["verify", "--graph", str(files["m"]), "--hamilton", "--hamilton-budget", "10"]
-    )
+    code = main(["verify", "--graph", str(files["m"]), "--hamilton", "--budget", "10"])
     assert code == 3
-    assert json.loads(capsys.readouterr().out)["hamilton"]["status"] == "EXHAUSTED"
+    assert json.loads(capsys.readouterr().out)["hamilton"] == {
+        "error": "Hamilton search undecided within 10 nodes",
+        "status": "EXHAUSTED",
+        "pass": False,
+    }
 
 
 # ------------------------------------------------------------------ prove
@@ -333,10 +335,13 @@ def test_audit_passes(capsys):
 
 
 def test_audit_hamilton_budget_exits_3(capsys):
-    assert main(["audit", "--hamilton-budget", "10"]) == 3
+    assert main(["audit", "--budget", "10"]) == 3
     payload = json.loads(capsys.readouterr().out)
     hamilton = next(c for c in payload["claims"] if c["name"] == "hamiltonian")
-    assert hamilton["certificate"] == {"status": "EXHAUSTED", "nodes": 10}
+    assert hamilton["certificate"] == {
+        "error": "Hamilton search undecided within 10 nodes",
+        "status": "EXHAUSTED",
+    }
 
 
 def test_python_m_colorlab_runs_the_command():
@@ -501,6 +506,21 @@ def test_garbage_graph_exits_2(case, files, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["graph.json", "graph.col", "lists.json"])
+def test_undecodable_file_exits_2(name, files, tmp_path, capsys):
+    bad = tmp_path / name
+    bad.write_bytes(b"\xff{}")
+    if name == "lists.json":
+        argv = ["solve", "--graph", str(files["k3"]), "--lists", str(bad)]
+    else:
+        argv = ["solve", "--graph", str(bad), "--k", "3"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
@@ -534,15 +554,14 @@ def test_outputs_do_not_depend_on_the_hash_seed(files):
 
 
 def test_audit_solve_budget_exits_3(capsys):
-    # A spent solve budget is a budget outcome (exit 3), as a spent Hamilton
-    # budget is, not a failed claim (exit 1).
+    # A spent budget is a budget outcome (exit 3), not a failed claim (exit
+    # 1), and the one budget bounds the coloring and the Hamilton searches.
     assert main(["audit", "--budget", "1"]) == 3
     claims = {c["name"]: c for c in json.loads(capsys.readouterr().out)["claims"]}
-    for name in ("chromatic-number-3", "not-4-choosable"):
+    for name in ("chromatic-number-3", "not-4-choosable", "hamiltonian"):
         assert claims[name]["status"] == "fail"
         assert claims[name]["certificate"]["status"] == "EXHAUSTED"
         assert "error" in claims[name]["certificate"]
-    assert claims["hamiltonian"]["status"] == "pass"
 
 
 # ------------------------------------------------------------ budget exits
@@ -573,9 +592,26 @@ def test_witness_budget_exits_3(files, capsys):
 def test_exhaustive_budget_exits_3(files, capsys):
     code = main(["choosability", "--graph", str(files["m"]), "--k", "2", "--budget", "1"])
     assert code == 3
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["verdict"] == "Exhausted"
-    assert payload["reason"] == "node budget 1 ran out after 1 assignments"
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "budget exhausted: node budget 1 ran out after 1 assignments\n"
+
+
+def test_exhaustive_budget_bounds_propagation_decided_assignments(tmp_path):
+    # Every assignment of an edgeless graph is decided by propagation alone,
+    # in 0 nodes; there are Bell(16), about 10**10, of them for k = 1 and 16
+    # colors.  The timeout turns an unbounded run into a failure.
+    path = tmp_path / "edgeless.json"
+    path.write_text(graphio.graph_to_json(make_graph([plain(i) for i in range(16)], [])))
+    src = os.path.dirname(os.path.dirname(colorlab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "colorlab", "choosability", "--graph", str(path),
+         "--k", "1", "--pool", "1..16", "--budget", "1000"],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=src), text=True, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "budget exhausted: node budget 1000 ran out after 1001 assignments\n"
 
 
 def test_prove_families_budget_exits_3(capsys):

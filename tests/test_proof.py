@@ -112,9 +112,8 @@ def test_gadget_lemma_passes(section, reduced_nodes, unreduced_nodes):
 
 
 def test_gadget_lemma_budget_exhaustion_reported():
-    lemma = gadget_lemma(1, budget=5)
-    assert not lemma.passed
-    assert "budget" in lemma.reason
+    with pytest.raises(BudgetExhausted, match="budget 5 exhausted before the lemma"):
+        gadget_lemma(1, budget=5)
 
 
 def test_gadget_lemma_detects_a_weakened_list():

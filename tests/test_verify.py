@@ -20,7 +20,9 @@ from colorlab.graph import (
     make_graph,
     plain,
 )
+from colorlab.cli import _exit_code
 from colorlab.verify import (
+    CLAIMS,
     RotationSystem,
     apex_embed,
     audit,
@@ -546,10 +548,11 @@ def test_audit_all_claims_pass():
         "apex-deleted-perfect-matching",
     ]
     payload = json.loads(report.to_json())
-    assert set(payload) == {"claims", "versions", "budgets"}
+    assert set(payload) == {"claims", "versions", "budget"}
+    assert payload["budget"] == 10**7
 
 
-AUDIT_SHA256 = "bdb20e2732bb6cd351d7da75b1d9c9f54988fa25f738ac347308175a845f634c"
+AUDIT_SHA256 = "f0e1d3eb59bd5c32c0f256960f954409fa20a182f6a92123a4f0476fa13f7c5d"
 
 
 def test_audit_is_deterministic():
@@ -562,6 +565,17 @@ def test_run_claim_records_a_raised_error_as_a_failure():
     ok, cert = run_claim("hamiltonian", path(2))
     assert not ok
     assert cert == {"error": "Hamiltonian cycles need at least three vertices"}
+
+
+@pytest.mark.parametrize("name", sorted(CLAIMS))
+def test_every_claim_spends_its_budget_one_way(name):
+    # At budget 1 a claim either needs no search or runs out; a spent budget
+    # is always the same two-key certificate, which the CLI maps to exit 3.
+    ok, cert = run_claim(name, mirzakhani(), canonical_lists(), 1)
+    if not ok:
+        assert set(cert) == {"error", "status"}
+        assert cert["status"] == "EXHAUSTED"
+        assert _exit_code(False, [cert]) == 3
 
 
 def test_audit_flags_a_mutated_graph():
