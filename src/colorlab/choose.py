@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import struct
 from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -177,6 +178,96 @@ def choosability_exhaustive(
     return ChoosabilityVerdict("Choosable", examined=examined, nodes=spent)
 
 
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's state increment
+# Bits per lane of a packed int: a 64-bit value and room for its product
+# with a 64-bit constant.
+_LANE = 128
+# The most SplitMix64 outputs random_probe computes in one packed int
+# (4 KiB), whatever the graph's size.
+DRAW_LANES = 256
+
+
+def _mix(z: int, mask: int) -> int:
+    """SplitMix64's output function of the state z.
+
+    With mask = 2**64 - 1, of one state.  With mask = 2**64 - 1 in every
+    128-bit lane of a packed int, of every lane's state at once: the
+    product of two 64-bit values fits in its lane, and the masks clear
+    the bits that a right shift pulls in from the lane above.
+    """
+    z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+    z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+    return (z ^ (z >> 31)) & mask
+
+
+def _limit(m: int) -> int:
+    """The largest multiple of m not above 2**64: a draw at or above it is
+    rejected, so r % m of an accepted draw r has no modulo bias."""
+    return (1 << 64) - (1 << 64) % m
+
+
+def _below(draw, m: int, limit: int) -> int:
+    """Uniform integer in [0, m) from the next draw() below limit."""
+    r = draw()
+    while r >= limit:
+        r = draw()
+    return r % m
+
+
+def _subsets(draw, items: list, k: int, count: int) -> list[list]:
+    """`count` uniform k-subsets of items, each the first k items of a copy
+    of items after a partial Fisher-Yates shuffle driven by draw()."""
+    bounds = range(len(items), len(items) - k, -1)  # m = len(items) - i
+    swaps = [(i, m, _limit(m)) for i, m in enumerate(bounds)]
+    out = []
+    for _ in range(count):
+        arr = items[:]
+        for i, m, limit in swaps:
+            j = i + _below(draw, m, limit)
+            arr[i], arr[j] = arr[j], arr[i]
+        out.append(arr[:k])
+    return out
+
+
+def _packed_streams(lanes: int):
+    """A function from a seed to the outputs of SplitMix64(seed).next(), in
+    order and without end, computed `lanes` at a time in one packed int.
+
+    Output j of a stream is mix(seed + (j + 1) * gamma), so lane i of a
+    block starting at state s holds s + (i + 1) * gamma, and the next block
+    starts at s + lanes * gamma.
+    """
+    rep = sum(1 << (_LANE * i) for i in range(lanes))
+    mask = _M64 * rep
+    steps = sum((((i + 1) * _GAMMA) & _M64) << (_LANE * i) for i in range(lanes))
+    advance = lanes * _GAMMA & _M64
+    nbytes = lanes * _LANE // 8
+    unpack = struct.Struct("<" + "Q8x" * lanes).unpack
+
+    def stream(state: int):
+        state &= _M64
+        while True:
+            block = _mix((state * rep + steps) & mask, mask)
+            yield from unpack(block.to_bytes(nbytes, "little"))
+            state = (state + advance) & _M64
+
+    return stream
+
+
+def _mask_draws(n: int, k: int, ncolors: int):
+    """A function from a seed to the domain masks of the n k-subsets that
+    n calls of SplitMix64(seed).sample(range(ncolors), k) would draw."""
+    # The palette positions as one-bit masks: the bits of a drawn subset
+    # sum to its domain mask.
+    bits = [1 << i for i in range(ncolors)]
+    streams = _packed_streams(min(n * k, DRAW_LANES))
+
+    def masks(seed: int) -> list[int]:
+        return list(map(sum, _subsets(streams(seed).__next__, bits, k, n)))
+
+    return masks
+
+
 class SplitMix64:
     """Fixed, portable PRNG (splitmix64) so probes reproduce anywhere."""
 
@@ -184,31 +275,21 @@ class SplitMix64:
         self.state = seed & _M64
 
     def next(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _M64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-        return z ^ (z >> 31)
+        self.state = (self.state + _GAMMA) & _M64
+        return _mix(self.state, _M64)
 
     def below(self, m: int) -> int:
         """Uniform integer in [0, m) by rejection (no modulo bias)."""
         if m <= 0:
             raise ValueError("below() needs a positive bound")
-        lim = (1 << 64) - (1 << 64) % m  # the largest multiple of m <= 2**64
-        while True:
-            r = self.next()
-            if r < lim:
-                return r % m
+        return _below(self.next, m, _limit(m))
 
     def sample(self, items: Sequence[int], k: int) -> tuple[int, ...]:
         """Sorted uniform k-subset via partial Fisher-Yates."""
         arr = list(items)
         if not 0 <= k <= len(arr):
             raise ValueError(f"sample() needs 0 <= k <= {len(arr)}, got {k}")
-        for i in range(k):
-            j = i + self.below(len(arr) - i)
-            arr[i], arr[j] = arr[j], arr[i]
-        return tuple(sorted(arr[:k]))
+        return tuple(sorted(_subsets(self.next, arr, k, 1)[0]))
 
 
 @dataclass(frozen=True)
@@ -247,7 +328,10 @@ def random_probe(
 
     The subsets are drawn as palette positions and go to the kernel as bit
     masks; every SAT witness is re-checked against those masks over
-    ``Graph.int_edges`` by check_mask_witness.
+    ``Graph.int_edges`` by check_mask_witness.  A trial's draws are the
+    same stream that SplitMix64(seed ^ t).sample would consume, in the
+    same order with the same rejections, but computed up to DRAW_LANES
+    outputs at a time in the 128-bit lanes of one packed int.
     """
     colors = sorted(set(pool)) if pool is not None else list(default_pool(k))
     _check_list_size(k, colors)
@@ -257,19 +341,11 @@ def random_probe(
     n = g.n
     adj = g.int_adj
     edges = g.int_edges
-    positions = range(len(colors))
-    mask_of: dict[tuple[int, ...], int] = {}
+    trial_masks = _mask_draws(n, k, len(colors))
     successes = 0
     for t in range(trials):
-        rng = SplitMix64(seed ^ t)
-        masks = []
-        for _ in range(n):
-            drawn = rng.sample(positions, k)
-            mask = mask_of.get(drawn)
-            if mask is None:
-                mask = mask_of[drawn] = sum(1 << i for i in drawn)
-            masks.append(mask)
-        status, bits, _, _, _ = engine.solve_colors(
+        masks = trial_masks(seed ^ t)
+        status, witness, _, _, _ = engine.solve_colors(
             n, adj, masks, budget, engine.MODE_DECIDE
         )
         if status == engine.EXHAUSTED:
@@ -277,7 +353,7 @@ def random_probe(
                 f"trial {t} undecided within {budget} nodes; probe aborted"
             )
         if status == engine.SAT:
-            check_mask_witness(edges, masks, bits)
+            check_mask_witness(edges, masks, witness)
             successes += 1
     return ProbeReport(
         graph=f"{g.n} vertices, {g.m} edges",

@@ -12,21 +12,21 @@ List-coloring search
     (unit propagation).  A search node is one color tried at a decision
     vertex; forced assignments are not nodes.
 
-    Decision mode additionally backjumps on conflicts: every removal records
-    the vertex that caused it, forced assignments record the decision
-    vertices they descend from, and when a subtree is refuted without
-    involving the decision vertex at its root, the remaining colors of that
-    vertex are skipped (they fail for the same reason).  Backjumping changes
-    node counts only, never the verdict or the first witness found, and is
-    disabled for counting and enumeration, which must visit every solution.
+    Decision mode additionally backjumps on conflicts: every vertex carries
+    the set of decision vertices that the colors missing from its domain
+    depend on, and when a subtree is refuted without involving the decision
+    vertex at its root, the remaining colors of that vertex are skipped
+    (they fail for the same reason).  Backjumping changes node counts only,
+    never the verdict or the first witness found, and is disabled for
+    counting and enumeration, which must visit every solution.
 
-    Bookkeeping: the removal trail holds the vertex that lost a color and
-    that vertex's removal list holds the culprit; the removed color is the
-    culprit's own, so undo restores ``dom[u] |= color[culprit]``.  Each
-    assigned vertex carries a culprit mask, set once when it is assigned:
-    its own bit for a decision, the union of its culprits' masks for a
-    forced assignment.  A vertex's conflict set is the union of the masks
-    of the culprits on its removal list.
+    Bookkeeping: ``blame[u]`` is u's conflict set, a bit per decision
+    vertex.  A vertex v is assigned with a culprit mask, its own bit for a
+    decision and its blame for a forced assignment, and each color v
+    removes from a neighbor u ors that mask into ``blame[u]``; a wipe-out
+    of u is refuted by ``blame[u]``.  One trail holds (vertex, domain
+    before, blame before) per removal, and undo restores the entries above
+    a frame's mark newest first, so no state is copied per frame.
 
 Hamiltonian search
     Depth-first path extension from vertex 0 with three prunes: the
@@ -67,12 +67,13 @@ def solve_colors(n, adj, domains, budget, mode, on_solution=None):
     """
     dom = list(domains)
     color = [-1] * n
-    # why[x]: the decisions (bit per vertex) that assigned vertex x descends
-    # from, itself included if x is a decision.  Set on assignment.
-    why = [0] * n
-    rem = [[] for _ in range(n)]  # active removals per vertex: culprit vertex
+    # blame[u]: the decisions (bit per vertex) behind the colors missing
+    # from u's domain, the union of the removers' culprit masks.
+    blame = [0] * n
     atrail: list[int] = []  # assigned vertices, in assignment order
-    rtrail: list[int] = []  # vertices that lost a color, in removal order
+    # One entry per removal, in removal order: (vertex, its domain before,
+    # its blame before).
+    trail: list[tuple[int, int, int]] = []
     pending: list[int] = []  # FIFO of forced (singleton-domain) vertices
     props = 0
     # The set of decisions (bit per vertex) that the latest refutation
@@ -80,27 +81,23 @@ def solve_colors(n, adj, domains, budget, mode, on_solution=None):
     # failed, read by the node above it.
     jump = 0
 
-    def culprits(v: int) -> int:
-        out = 0
-        for x in rem[v]:
-            out |= why[x]
-        return out
-
     def assign(v: int, bit: int, vwhy: int) -> bool:
+        # vwhy: the decisions that v's assignment descends from, v itself
+        # included if v is a decision.
         nonlocal props, jump
-        why[v] = vwhy
         color[v] = bit
         atrail.append(v)
         for u in adj[v]:
             d = dom[u]
             if d & bit and color[u] < 0:
+                b = blame[u]
+                trail.append((u, d, b))
                 d ^= bit
                 dom[u] = d
-                rtrail.append(u)
-                rem[u].append(v)
+                blame[u] = b | vwhy
                 props += 1
                 if d == 0:
-                    jump = culprits(u)
+                    jump = b | vwhy
                     return False
                 if d & (d - 1) == 0:
                     pending.append(u)
@@ -109,17 +106,20 @@ def solve_colors(n, adj, domains, budget, mode, on_solution=None):
     def run_queue() -> bool:
         # assign() appends to pending while this loop walks it.
         for u in pending:
-            if color[u] < 0 and not assign(u, dom[u], culprits(u)):
+            if color[u] < 0 and not assign(u, dom[u], blame[u]):
                 return False
         return True
 
-    def undo(amark: int, rmark: int) -> None:
+    def undo(amark: int, tmark: int) -> None:
         pending.clear()
-        while len(rtrail) > rmark:
-            u = rtrail.pop()
-            dom[u] |= color[rem[u].pop()]
-        while len(atrail) > amark:
-            color[atrail.pop()] = -1
+        # Newest first, so a vertex ends with its oldest saved state.
+        for u, d, b in reversed(trail[tmark:]):
+            dom[u] = d
+            blame[u] = b
+        del trail[tmark:]
+        for v in atrail[amark:]:
+            color[v] = -1
+        del atrail[amark:]
 
     if any(d == 0 for d in dom):
         return (UNSAT, None, 0, 0, 0)
@@ -133,7 +133,7 @@ def solve_colors(n, adj, domains, budget, mode, on_solution=None):
     nodes = count = 0
     wide = MAX_PALETTE + 1
     # One frame per decision vertex on the current path:
-    # [vertex, conflict set, colors left to try, atrail mark, rtrail mark].
+    # [vertex, conflict set, colors left to try, atrail mark, trail mark].
     # The conflict set starts from the decisions that already pruned the
     # vertex's domain (a completion could otherwise revive a pruned color),
     # then absorbs the refutation of every color tried below.
@@ -175,7 +175,7 @@ def solve_colors(n, adj, domains, budget, mode, on_solution=None):
                         best, best_size = v, size
                         if size == 2:
                             break
-            frame = [best, culprits(best), dom[best], 0, 0]
+            frame = [best, blame[best], dom[best], 0, 0]
             stack.append(frame)
         mask = frame[2]
         if not mask:
@@ -189,7 +189,7 @@ def solve_colors(n, adj, domains, budget, mode, on_solution=None):
         v = frame[0]
         bit = mask & -mask
         frame[2] = mask ^ bit
-        frame[3], frame[4] = len(atrail), len(rtrail)
+        frame[3], frame[4] = len(atrail), len(trail)
         pending.clear()
         returned = not (assign(v, bit, 1 << v) and run_queue())
     return (SAT if count > 0 else UNSAT, None, nodes, props, count)

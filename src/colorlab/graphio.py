@@ -47,9 +47,13 @@ def _coord_in(x) -> Coord:
 
 
 def _expect(x, kind: type, what: str, size: Optional[int] = None, item=object):
-    """x itself when it is a `kind` of `item`s (exactly `size` of them, if given)."""
+    """x itself when it is a `kind` of `item`s (exactly `size` of them, if given).
+
+    JSON true and false are never items: bool subclasses int, but no color,
+    coordinate or vertex id is a boolean.
+    """
     ok = isinstance(x, kind) and size in (None, len(x))
-    if not ok or not all(isinstance(c, item) for c in x):
+    if not ok or not all(isinstance(c, item) and not isinstance(c, bool) for c in x):
         raise GraphError(f"malformed {what}: {x!r}")
     return x
 
@@ -71,9 +75,10 @@ def graph_to_json(g: Graph) -> str:
 
 
 def graph_from_json(text: str) -> Graph:
+    # JSONDecodeError is a ValueError, and so is a number too long for int().
     try:
         payload = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise GraphError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "vertices" not in payload:
         raise GraphError("graph JSON must be an object with a 'vertices' key")
@@ -101,9 +106,10 @@ def lists_to_json(lists: ListAssignment) -> str:
 
 
 def lists_from_json(text: str) -> ListAssignment:
+    # JSONDecodeError is a ValueError, and so is a number too long for int().
     try:
         payload = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise GraphError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "palette" not in payload or "lists" not in payload:
         raise GraphError("list JSON must be an object with 'palette' and 'lists'")
@@ -127,6 +133,14 @@ def graph_to_dimacs(g: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
+def _ints(digits: list[str], lineno: int) -> list[int]:
+    """Decimal strings as ints; one too long for int() is a GraphError."""
+    try:
+        return [int(d) for d in digits]
+    except ValueError:
+        raise GraphError(f"line {lineno}: number too long") from None
+
+
 def graph_from_dimacs(text: str) -> Graph:
     """Read DIMACS .col; vertex identities are recovered from our own
     comment mapping when present, otherwise vertices become plain(i)."""
@@ -141,14 +155,14 @@ def graph_from_dimacs(text: str) -> Graph:
             if len(parts) == 3 and parts[1].isdecimal():
                 try:
                     names[int(parts[1])] = parse_vertex(parts[2])
-                except GraphError:
+                except (GraphError, ValueError):  # ValueError: too many digits
                     pass
             continue
         numeric = all(p.isdecimal() for p in parts[-2:])
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "edge" or not numeric:
                 raise GraphError(f"line {lineno}: malformed problem line")
-            n, m = int(parts[2]), int(parts[3])
+            n, m = _ints(parts[2:], lineno)
             if n > MAX_DIMACS_VERTICES:
                 raise GraphError(
                     f"line {lineno}: declares {n} vertices, more than {MAX_DIMACS_VERTICES}"
@@ -156,7 +170,7 @@ def graph_from_dimacs(text: str) -> Graph:
         elif parts[0] == "e":
             if len(parts) != 3 or not numeric:
                 raise GraphError(f"line {lineno}: malformed edge line")
-            raw_edges.append((int(parts[1]), int(parts[2])))
+            raw_edges.append(tuple(_ints(parts[1:], lineno)))
         else:
             raise GraphError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:

@@ -488,6 +488,21 @@ GARBAGE = {
         "lists.json",
         '{"palette": [1, 2, 3], "lists": {"plain:0": 5}}',
     ),
+    # JSON booleans are Python ints, but never colors or coordinates.
+    "boolean-color-in-lists": (
+        "lists.json",
+        '{"palette": [1, 2, 3], "lists": {"plain:0": [true, 2, 3],'
+        ' "plain:1": [true, 2, 3], "plain:2": [true, 2, 3]}}',
+    ),
+    "boolean-color-in-palette": (
+        "lists.json",
+        '{"palette": [true, 2, 3, 4], "lists": {"plain:0": [2, 3],'
+        ' "plain:1": [3, 4], "plain:2": [2, 4]}}',
+    ),
+    "boolean-coordinate": (
+        "graph.json",
+        '{"vertices": ["plain:0"], "layout": {"plain:0": [true, 0]}}',
+    ),
 }
 
 

@@ -1,8 +1,10 @@
 """Serialization round-trips: JSON, DIMACS .col, DOT, and DIMACS CNF."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colorlab import graphio
 from colorlab.build import canonical_lists, mirzakhani, uniform_lists
@@ -74,6 +76,101 @@ def test_dimacs_rejects_bad_input():
         graphio.graph_from_dimacs("p edge 2 1\ne 1 5\n")
     with pytest.raises(GraphError):
         graphio.graph_from_dimacs("no header here\n")
+
+
+LONG = "1" * 5000  # more digits than int() converts from text
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (graphio.graph_from_json, '{"vertices": [], "edges": ' + LONG + "}"),
+        (graphio.lists_from_json, '{"palette": [' + LONG + '], "lists": {}}'),
+        (graphio.graph_from_dimacs, f"p edge {LONG} 0\n"),
+        (graphio.graph_from_dimacs, f"p edge 2 1\ne 1 {LONG}\n"),
+    ],
+)
+def test_readers_refuse_numbers_too_long_for_int(reader, text):
+    with pytest.raises(GraphError):
+        reader(text)
+
+
+def test_dimacs_ignores_a_name_comment_with_a_long_index():
+    g = graphio.graph_from_dimacs(f"c {LONG} hub:0,0\np edge 1 0\n")
+    assert g.vertices == (plain(1),)
+
+
+# ------------------------------------------------------------ reader fuzz
+#
+# Documents built mostly from the readers' own keys, vertex ids and records,
+# with arbitrary JSON or text in about one place in ten, so that many
+# examples get past the first check.  Every reader must return a value or
+# raise GraphError.
+
+IDS = st.sampled_from(
+    ["apex", "hub:0,0", "corner:1,1", "plain:0", "plain:1", "plain:2", "plain:x", "hub:1", ""]
+)
+NOISE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def mostly(valid):
+    """`valid`, or arbitrary JSON for about one draw in ten."""
+    return st.integers(0, 9).flatmap(lambda i: NOISE if i == 9 else valid)
+
+
+COORD = mostly(st.integers(-5, 40) | st.sampled_from(["1/2", "-3", "1/0", "x/2", "2/", True]))
+COLOR = mostly(st.integers(-2, 70))
+GRAPH_DOC = mostly(
+    st.fixed_dictionaries(
+        {"vertices": mostly(st.lists(IDS, max_size=5))},
+        optional={
+            "edges": mostly(st.lists(mostly(st.lists(IDS, min_size=2, max_size=2)), max_size=4)),
+            "layout": mostly(
+                st.dictionaries(IDS, mostly(st.lists(COORD, min_size=2, max_size=2)), max_size=5)
+            ),
+        },
+    )
+)
+LISTS_DOC = mostly(
+    st.fixed_dictionaries(
+        {
+            "palette": mostly(st.lists(COLOR, max_size=6)),
+            "lists": mostly(st.dictionaries(IDS, mostly(st.lists(COLOR, max_size=4)), max_size=4)),
+        }
+    )
+)
+
+
+@st.composite
+def dimacs_text(draw):
+    """A problem line, edge lines and name comments, in any order, with the
+    edge count sometimes wrong and an arbitrary line sometimes added."""
+    index = st.integers(-1, 7)
+    edges = draw(st.lists(st.tuples(index, index), max_size=5))
+    lines = [f"p edge {draw(st.integers(0, 6))} {len(edges) + draw(st.sampled_from([0, 0, 1]))}"]
+    lines += [f"e {a} {b}" for a, b in edges]
+    lines += [f"c {i} {name}" for i, name in draw(st.lists(st.tuples(index, IDS), max_size=3))]
+    lines += draw(st.lists(st.text(max_size=12), max_size=1))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+@settings(deadline=None, max_examples=250)
+@given(GRAPH_DOC, LISTS_DOC, dimacs_text())
+def test_readers_return_a_value_or_raise_graph_error(graph_doc, lists_doc, dimacs):
+    for reader, text in (
+        (graphio.graph_from_json, json.dumps(graph_doc)),
+        (graphio.lists_from_json, json.dumps(lists_doc)),
+        (graphio.graph_from_dimacs, dimacs),
+    ):
+        try:
+            reader(text)
+        except GraphError:
+            pass
 
 
 def test_dot_contains_positions_and_edges():

@@ -6,9 +6,11 @@ Graph.int_edges.  The oracle below is the list-based loop it replaces: one
 make_lists and one decide per trial.  Reports must agree byte for byte.
 """
 
+import itertools
+
 import pytest
 
-from colorlab import choose
+from colorlab import choose, engine
 from colorlab.build import canonical_lists, make_lists, mirzakhani
 from colorlab.choose import (
     ProbeReport,
@@ -88,6 +90,101 @@ def test_probe_pinned_successes_on_m():
 def test_probe_on_the_empty_graph():
     report = random_probe(make_graph([], []), 2, 3, 0, pool=(1, 2))
     assert report.successes == 3
+
+
+def test_probe_kernel_work_on_m_is_pinned():
+    # Seed 0's 1,000 trials drawn with SplitMix64.sample, the reference
+    # path: the kernel's visit order on the probe's own instance family.
+    g = mirzakhani()
+    nodes = props = sat = 0
+    for t in range(1000):
+        rng = SplitMix64(t)
+        masks = [sum(1 << i for i in rng.sample(range(4), 3)) for _ in range(g.n)]
+        status, _, dn, dp, _ = engine.solve_colors(
+            g.n, g.int_adj, masks, DEFAULT_BUDGET, engine.MODE_DECIDE
+        )
+        nodes, props, sat = nodes + dn, props + dp, sat + (status == engine.SAT)
+    assert (nodes, props, sat) == (49691, 431232, 649)
+
+
+# ----------------------------------------------------------- batched draws
+#
+# random_probe computes each trial's stream in packed lanes.  The reference
+# below spells SplitMix64 out from its constants, independently of choose.py:
+# output j of the stream from s is mix(s + j * gamma), j = 1, 2, ...; a draw
+# at or above the largest multiple of m not above 2**64 is rejected; the
+# subset is a partial Fisher-Yates shuffle.
+
+M64 = 2**64 - 1
+GAMMA = 0x9E3779B97F4A7C15
+MULS = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+
+
+def mix64(z):
+    z = ((z ^ (z >> 30)) * MULS[0]) & M64
+    z = ((z ^ (z >> 27)) * MULS[1]) & M64
+    return z ^ (z >> 31)
+
+
+def unshift(y, s):
+    """The x with x ^ (x >> s) == y: each pass fixes s more top bits."""
+    x = y
+    for _ in range(64 // s):
+        x = y ^ (x >> s)
+    return x
+
+
+def unmix64(z):
+    z = unshift(z, 31)
+    z = unshift(z * pow(MULS[1], -1, 2**64) & M64, 27)
+    return unshift(z * pow(MULS[0], -1, 2**64) & M64, 30)
+
+
+def spelled_out_masks(seed, n, k, ncolors):
+    outputs = (mix64((seed + j * GAMMA) & M64) for j in itertools.count(1))
+    masks = []
+    for _ in range(n):
+        arr = list(range(ncolors))
+        for i in range(k):
+            m = ncolors - i
+            r = next(outputs)
+            while r >= 2**64 - 2**64 % m:
+                r = next(outputs)
+            j = i + r % m
+            arr[i], arr[j] = arr[j], arr[i]
+        masks.append(sum(1 << c for c in arr[:k]))
+    return masks
+
+
+def sampled_masks(seed, n, k, ncolors):
+    rng = SplitMix64(seed)
+    return [sum(1 << c for c in rng.sample(range(ncolors), k)) for _ in range(n)]
+
+
+def test_batched_draws_take_the_next_output_after_a_rejection(monkeypatch):
+    # Trial 0's second draw (m = 3) is 2**64 - 1, at the rejection limit
+    # 2**64 - 1, so the trial takes n*k + 1 = 190 outputs: one past the
+    # 189-lane block, from the next block.
+    seed = (unmix64(M64) - 2 * GAMMA) & M64
+    assert seed == 10604588701194827158
+    assert mix64((seed + 2 * GAMMA) & M64) == M64
+    expected = spelled_out_masks(seed, 63, 3, 4)
+    assert sampled_masks(seed, 63, 3, 4) == expected
+    for lanes in (1, 2, 7, 189, choose.DRAW_LANES):
+        monkeypatch.setattr(choose, "DRAW_LANES", lanes)
+        assert choose._mask_draws(63, 3, 4)(seed) == expected
+    monkeypatch.undo()
+    g = mirzakhani()
+    got = random_probe(g, 3, 4, seed, pool=(1, 2, 3, 4))
+    assert got.to_json() == oracle_probe(g, 3, 4, seed, (1, 2, 3, 4)).to_json()
+
+
+@pytest.mark.parametrize("n, k, ncolors", [(63, 3, 64), (0, 3, 4), (3, 64, 64), (90, 1, 1)])
+def test_batched_draws_match_sample(n, k, ncolors):
+    for seed in (0, 1, M64, 2**64 + 7, -1):
+        expected = sampled_masks(seed, n, k, ncolors)
+        assert choose._mask_draws(n, k, ncolors)(seed) == expected
+        assert spelled_out_masks(seed, n, k, ncolors) == expected
 
 
 # ----------------------------------------------------------- probe errors
