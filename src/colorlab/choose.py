@@ -11,6 +11,7 @@ travels with every report.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import struct
@@ -82,27 +83,40 @@ def verify_not_choosable(
     )
 
 
-def _canonical_rows(k: int, used: int, cap: int) -> list[tuple[int, ...]]:
-    """Sorted k-subsets of 1..cap in first-occurrence canonical form.
+def _canonical_rows(k: int, used: int, cap: int) -> list[int]:
+    """Domain masks of the k-subsets of palette positions 0..cap-1 in
+    first-occurrence canonical form, in ascending subset order.
 
-    Colors above `used` must form the consecutive run used+1, used+2, ...;
-    anything else would not be the least representative of its renaming
-    orbit.  Ascending tuple order.
+    Positions at or above `used` must form the consecutive run used,
+    used+1, ...; anything else would not be the least representative of
+    its renaming orbit.  With used = cap every subset qualifies.
     """
-    top = min(used + k, cap)
     rows = []
-    for comb in itertools.combinations(range(1, top + 1), k):
-        fresh = [c for c in comb if c > used]
-        if fresh == list(range(used + 1, used + 1 + len(fresh))):
-            rows.append(comb)
+    for comb in itertools.combinations(range(min(used + k, cap)), k):
+        fresh = [p for p in comb if p >= used]
+        if fresh == list(range(used, used + len(fresh))):
+            rows.append(sum(1 << p for p in comb))
     return rows
 
 
-def _check_list_size(k: int, colors: Sequence[int]) -> None:
+def _check_pool(k: int, colors: Sequence[int]) -> None:
+    """Raise GraphError unless lists of size k can be drawn from colors."""
     if k < 1:
         raise GraphError(f"list size must be at least 1, got {k}")
     if len(colors) < k:
         raise GraphError(f"pool of {len(colors)} colors cannot fill lists of size {k}")
+    check_palette(len(colors))
+
+
+def _decide_masks(g: Graph, masks: Sequence[int], budget: int) -> tuple[int, int]:
+    """(status, nodes) of the kernel on g from domain masks; every SAT
+    witness is replayed against the masks by check_mask_witness."""
+    status, witness, nodes, _, _ = engine.solve_colors(
+        g.n, g.int_adj, masks, budget, engine.MODE_DECIDE
+    )
+    if status == engine.SAT:
+        check_mask_witness(g.int_edges, masks, witness)
+    return status, nodes
 
 
 def choosability_exhaustive(
@@ -115,33 +129,32 @@ def choosability_exhaustive(
     """Decide k-choosability of a small graph relative to a color pool.
 
     Iterates every assignment of k-subsets of the pool to the vertices,
-    canonicalized up to color renaming (first-occurrence form), and solves
-    each.  The first UNSAT assignment found is the lexicographically least
-    bad one.  `budget` bounds the *total* search nodes across assignments,
-    each assignment costing at least one; a spent budget raises
-    BudgetExhausted.  `symmetry=False` disables the renaming
-    canonicalization; it exists so tests can confirm the pruning changes
-    nothing.
+    canonicalized up to color renaming (first-occurrence form), and decides
+    each as domain masks over the sorted pool, replaying every SAT witness
+    with check_mask_witness.  The first UNSAT assignment found is the
+    lexicographically least bad one.  `budget` bounds the *total* search
+    nodes across assignments, each assignment costing at least one; a spent
+    budget raises BudgetExhausted.  `symmetry=False` starts the enumeration
+    as if every pool color were already used, so every k-subset is
+    canonical and all assignments are decided; it exists so tests can
+    confirm the pruning changes nothing.
     """
     colors = sorted(set(pool))
-    _check_list_size(k, colors)
+    _check_pool(k, colors)
     order = g.vertices
     n = len(order)
     spent = charged = examined = 0
-    rows_cache: dict[int, list[tuple[int, ...]]] = {}
 
-    def rows_for(used: int) -> list[tuple[int, ...]]:
-        if not symmetry:
-            return list(itertools.combinations(range(1, len(colors) + 1), k))
-        if used not in rows_cache:
-            rows_cache[used] = _canonical_rows(k, used, len(colors))
-        return rows_cache[used]
+    @functools.cache
+    def rows_for(used: int) -> list[int]:
+        return _canonical_rows(k, used, len(colors))
 
     def assignments():
         # Lexicographic depth-first order on an explicit stack: one frame
-        # (row iterator, highest color used before it) per assigned vertex.
-        chosen: list[tuple[int, ...]] = []
-        stack = [(iter(rows_for(0)), 0)]
+        # (row iterator, positions used before it) per assigned vertex.
+        start = 0 if symmetry else len(colors)
+        chosen: list[int] = []
+        stack = [(iter(rows_for(start)), start)]
         while stack:
             rows, used = stack[-1]
             del chosen[len(stack) - 1 :]
@@ -152,26 +165,25 @@ def choosability_exhaustive(
                 yield (*chosen, row)
             else:
                 chosen.append(row)
-                used = max(used, row[-1]) if symmetry else 0
+                used = max(used, row.bit_length())
                 stack.append((iter(rows_for(used)), used))
 
-    for rows in assignments() if n else [()]:
-        lists = make_lists(
-            colors, {v: tuple(colors[c - 1] for c in row) for v, row in zip(order, rows)}
-        )
-        res = decide(g, lists, budget - charged)
-        spent += res.nodes
+    for masks in assignments() if n else [()]:
+        status, nodes = _decide_masks(g, masks, budget - charged)
+        spent += nodes
         # An assignment that propagation alone decides visits no node but
         # costs one unit, so the budget also bounds the number of assignments
         # (Bell(n) on an edgeless graph with k = 1).  charged passes the
         # budget only on such an assignment, examined with nothing left.
-        charged += max(res.nodes, 1)
+        charged += max(nodes, 1)
         examined += 1
-        if res.status == "EXHAUSTED" or charged > budget:
+        if status == engine.EXHAUSTED or charged > budget:
             raise BudgetExhausted(
                 f"node budget {budget} ran out after {examined} assignments"
             )
-        if not res.sat:
+        if status == engine.UNSAT:
+            picked = [[c for i, c in enumerate(colors) if row >> i & 1] for row in masks]
+            lists = make_lists(colors, dict(zip(order, picked)))
             return ChoosabilityVerdict(
                 "NotChoosable", assignment=lists, examined=examined, nodes=spent
             )
@@ -334,27 +346,18 @@ def random_probe(
     outputs at a time in the 128-bit lanes of one packed int.
     """
     colors = sorted(set(pool)) if pool is not None else list(default_pool(k))
-    _check_list_size(k, colors)
+    _check_pool(k, colors)
     if trials < 0:
         raise GraphError(f"trial count must be nonnegative, got {trials}")
-    check_palette(len(colors))
-    n = g.n
-    adj = g.int_adj
-    edges = g.int_edges
-    trial_masks = _mask_draws(n, k, len(colors))
+    trial_masks = _mask_draws(g.n, k, len(colors))
     successes = 0
     for t in range(trials):
-        masks = trial_masks(seed ^ t)
-        status, witness, _, _, _ = engine.solve_colors(
-            n, adj, masks, budget, engine.MODE_DECIDE
-        )
+        status, _ = _decide_masks(g, trial_masks(seed ^ t), budget)
         if status == engine.EXHAUSTED:
             raise BudgetExhausted(
                 f"trial {t} undecided within {budget} nodes; probe aborted"
             )
-        if status == engine.SAT:
-            check_mask_witness(edges, masks, witness)
-            successes += 1
+        successes += status == engine.SAT
     return ProbeReport(
         graph=f"{g.n} vertices, {g.m} edges",
         k=k,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence
 
 from colorlab import engine
 from colorlab.build import ListAssignment, uniform_lists
@@ -141,27 +141,20 @@ def enumerate_colorings(
     return CountResult(_STATUS[status], found, nodes, props, budget)
 
 
-def verify_coloring(
-    g: Graph, constraint: Union[ListAssignment, int], coloring: Coloring
-) -> list[str]:
-    """Independently check a coloring; returns all violations (empty = ok).
-
-    constraint is either a ListAssignment (list membership is checked) or an
-    integer k (colors must lie in 1..k).  Shares no code with the search.
+def verify_coloring(g: Graph, lists: ListAssignment, coloring: Coloring) -> list[str]:
+    """Independently check a coloring from lists; returns all violations
+    (empty = ok).  Plain k-coloring is the lists uniform_lists(g, 1..k).
+    Shares no code with the search.
     """
     missing = [v for v in g.vertices if v not in coloring]
     if missing:
         raise GraphError(f"coloring is partial: {len(missing)} vertices unassigned")
-    if not isinstance(constraint, int):
-        constraint.require(g.vertices)
-    violations = []
-    for v in g.vertices:
-        c = coloring[v]
-        if isinstance(constraint, int):
-            if not (isinstance(c, int) and 1 <= c <= constraint):
-                violations.append(f"{v}: color {c} outside 1..{constraint}")
-        elif c not in constraint.list_of(v):
-            violations.append(f"{v}: color {c} not in list {constraint.list_of(v)}")
+    lists.require(g.vertices)
+    violations = [
+        f"{v}: color {coloring[v]} not in list {lists.list_of(v)}"
+        for v in g.vertices
+        if coloring[v] not in lists.list_of(v)
+    ]
     order = g.vertices
     colors = [coloring[v] for v in order]
     for i, j in g.int_edges:

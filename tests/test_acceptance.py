@@ -94,7 +94,7 @@ def test_criterion_03_chromatic_number_three():
         g = mirzakhani()
         res = chromatic_number(g)
         assert res.k == 3
-        assert verify_coloring(g, 3, res.witness) == []
+        assert verify_coloring(g, uniform_lists(g, range(1, 4)), res.witness) == []
         assert res.unsat_below.status == "UNSAT"
         assert decide(g, uniform_lists(g, (1, 2))).status == "UNSAT"
     report(3, "chromatic number 3", w, 10)

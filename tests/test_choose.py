@@ -92,12 +92,14 @@ def test_c4_is_2_choosable():
 def assignment_order(monkeypatch, g, k, pool, symmetry):
     """Every list assignment choosability_exhaustive decides, in order."""
     seen = []
+    colors = sorted(pool)
+    decide_masks = choose._decide_masks
 
-    def recording_decide(graph, lists, budget):
-        seen.append(tuple(lists.list_of(v) for v in graph.vertices))
-        return decide(graph, lists, budget)
+    def recording_decide(graph, masks, budget):
+        seen.append(tuple(tuple(c for i, c in enumerate(colors) if m >> i & 1) for m in masks))
+        return decide_masks(graph, masks, budget)
 
-    monkeypatch.setattr(choose, "decide", recording_decide)
+    monkeypatch.setattr(choose, "_decide_masks", recording_decide)
     verdict = choosability_exhaustive(g, k, pool, symmetry=symmetry)
     assert verdict.examined == len(seen)
     return hashlib.sha256(repr(seen).encode()).hexdigest()[:16], len(seen)
@@ -181,6 +183,70 @@ def test_symmetry_pruning_never_changes_the_verdict(seed, k, pool_size):
     if a.kind == "NotChoosable":
         # both return the lexicographically least bad assignment
         assert a.assignment.lists == b.assignment.lists
+
+
+def reference_exhaustive(g, k, pool, symmetry):
+    """choosability_exhaustive as a per-assignment make_lists + decide loop:
+    (kind, examined, nodes, assignment)."""
+    colors = sorted(set(pool))
+    subsets = list(itertools.combinations(range(1, len(colors) + 1), k))
+
+    def canonical(row, used):
+        fresh = [c for c in row if c > used]
+        return fresh == list(range(used + 1, used + 1 + len(fresh)))
+
+    def assignments(i, used):
+        if i == g.n:
+            yield ()
+            return
+        for row in subsets:
+            if not symmetry or canonical(row, used):
+                for rest in assignments(i + 1, max(used, row[-1])):
+                    yield (row, *rest)
+
+    examined = nodes = 0
+    for rows in assignments(0, 0):
+        lists = make_lists(
+            colors, {v: [colors[c - 1] for c in row] for v, row in zip(g.vertices, rows)}
+        )
+        res = decide(g, lists)
+        examined, nodes = examined + 1, nodes + res.nodes
+        assert res.status != "EXHAUSTED"
+        if not res.sat:
+            return ("NotChoosable", examined, nodes, lists)
+    return ("Choosable", examined, nodes, None)
+
+
+def cycle(n):
+    vs = [plain(i) for i in range(n)]
+    return make_graph(vs, [(vs[i], vs[(i + 1) % n]) for i in range(n)])
+
+
+def differential_cases():
+    yield c4(), 2, range(1, 9), (True,)
+    yield c4(), 2, range(1, 6), (True, False)
+    yield k3(), 2, range(1, 7), (True, False)
+    yield k3(), 3, range(1, 6), (True, False)
+    yield cycle(5), 2, range(1, 5), (True, False)
+    yield cycle(5), 3, range(1, 5), (True, False)
+    for seed in range(100):
+        rng = SplitMix64(seed)
+        n = 1 + rng.below(5)
+        vs = [plain(i) for i in range(n)]
+        edges = [(vs[i], vs[j]) for i in range(n) for j in range(i + 1, n) if rng.below(2)]
+        k = 1 + rng.below(2)
+        yield make_graph(vs, edges), k, range(1, k + 1 + rng.below(5 - k)), (True, False)
+
+
+def test_exhaustive_matches_the_list_route():
+    kinds = set()
+    for g, k, pool, modes in differential_cases():
+        for symmetry in modes:
+            got = choosability_exhaustive(g, k, pool, symmetry=symmetry)
+            expected = reference_exhaustive(g, k, pool, symmetry)
+            assert (got.kind, got.examined, got.nodes, got.assignment) == expected
+            kinds.add(got.kind)
+    assert kinds == {"Choosable", "NotChoosable"}
 
 
 # --------------------------------------------------------------- probing

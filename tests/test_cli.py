@@ -1,14 +1,18 @@
 """End-to-end command-line behavior, exit codes first."""
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import colorlab
 from colorlab import graphio
@@ -636,3 +640,69 @@ def test_prove_families_budget_exits_3(capsys):
     assert out == ""
     assert err.startswith("budget exhausted: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# ------------------------------------------------------------------- fuzz
+#
+# Random small graphs (structured and plain vertex ids, sometimes a layout,
+# sometimes a self-loop or a repeated edge), their DIMACS form (sometimes
+# with an edge out of range) and list files (sometimes leaving the palette
+# or missing a vertex), through every command that reads them, with small
+# budgets.  Each command must answer with an exit code, never a traceback.
+
+FUZZ_IDS = ["apex", "hub:0,0", "hub:1,0", "corner:1,1", "corner:-1,1", "plain:0", "plain:1", "plain:2"]
+
+
+@st.composite
+def fuzz_files(draw):
+    ids = draw(st.lists(st.sampled_from(FUZZ_IDS), unique=True, max_size=6))
+    n = len(ids)
+    index = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(index, index), max_size=9)) if n else []
+    doc = {"vertices": ids, "edges": [[ids[a], ids[b]] for a, b in edges]}
+    if draw(st.booleans()):
+        coord = st.integers(-3, 6) | st.sampled_from(["1/2", "-5/3"])
+        doc["layout"] = {v: [draw(coord), draw(coord)] for v in ids}
+    dimacs = [f"p edge {n} {len(edges)}"]
+    dimacs += [f"e {a + 1} {b + 1 + draw(st.sampled_from([0, 0, 0, 1]))}" for a, b in edges]
+    palette = draw(st.lists(st.integers(-1, 8), unique=True, min_size=1, max_size=6))
+    color = st.sampled_from(palette) | st.integers(-1, 9)
+    lists = {
+        "palette": palette,
+        "lists": {
+            v: draw(st.lists(color, min_size=1, max_size=4))
+            for v in ids
+            if draw(st.integers(0, 9))
+        },
+    }
+    return json.dumps(doc), "\n".join(dimacs) + "\n", json.dumps(lists)
+
+
+@settings(deadline=None, max_examples=100)
+@given(fuzz_files(), st.data())
+def test_cli_exits_with_a_code_on_fuzzed_files(files, data):
+    with tempfile.TemporaryDirectory() as root:
+        graph, col, lists, out = (os.path.join(root, f) for f in ("g.json", "g.col", "l.json", "out"))
+        for path, text in zip((graph, col, lists), files):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        k = str(data.draw(st.integers(1, 3)))
+        lo = data.draw(st.integers(-1, 3))
+        pool = f"{lo}..{lo + data.draw(st.integers(0, 4))}"
+        budget = ["--budget", str(data.draw(st.integers(1, 300)))]
+        commands = [
+            ["solve", "--k", k, *budget],
+            ["solve", "--lists", lists, *budget],
+            ["solve", "--k", k, "--count", *budget],
+            ["choosability", "--k", k, f"--pool={pool}", *budget],
+            ["choosability", "--k", k, f"--pool={pool}", "--probe", "--trials", "3", *budget],
+            ["choosability", "--k", k, "--witness", lists, *budget],
+            ["verify", *budget],
+            ["audit", "--lists", lists, *budget],
+            *(["export", "--format", f, "--lists", lists] for f in ("json", "dimacs", "dot", "cnf")),
+        ]
+        for argv in commands:
+            source = data.draw(st.sampled_from([graph, col]))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main([*argv, "--graph", source, "--out", out])
+            assert code in (0, 1, 2, 3), argv

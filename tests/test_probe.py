@@ -305,6 +305,22 @@ def test_probe_raises_on_a_bad_kernel_witness(monkeypatch):
         random_probe(mirzakhani(), 4, 1, 0)
 
 
+def test_exhaustive_raises_on_a_bad_kernel_witness(monkeypatch):
+    # The path is 2-choosable, so every assignment is SAT; the first
+    # witness, doctored as above, colors both ends of an edge alike.
+    real = choose.engine.solve_colors
+
+    def colors_everything_alike(n, adj, domains, budget, mode):
+        status, bits, *rest = real(n, adj, domains, budget, mode)
+        if bits is not None:
+            bits = (bits[0],) * n
+        return (status, bits, *rest)
+
+    monkeypatch.setattr(choose.engine, "solve_colors", colors_everything_alike)
+    with pytest.raises(RuntimeError, match="invalid witness"):
+        choosability_exhaustive(_path3(), 2, range(1, 4))
+
+
 def test_verify_coloring_lists_edge_violations_in_edge_order():
     g = mirzakhani()
     coloring = {v: 1 for v in g.vertices}

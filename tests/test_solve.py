@@ -74,7 +74,7 @@ def test_k3_three_colors_sat_with_verified_witness():
     g = k3()
     res = decide(g, uniform_lists(g, (1, 2, 3)))
     assert res.sat
-    assert verify_coloring(g, 3, res.witness) == []
+    assert verify_coloring(g, uniform_lists(g, range(1, 4)), res.witness) == []
 
 
 def test_count_k3():
@@ -210,7 +210,7 @@ def test_verify_coloring_reports_all_violations():
 def test_verify_coloring_rejects_partial():
     g = k3()
     with pytest.raises(GraphError, match="partial"):
-        verify_coloring(g, 3, {plain(0): 1})
+        verify_coloring(g, uniform_lists(g, range(1, 4)), {plain(0): 1})
 
 
 def test_verify_coloring_refuses_missing_lists():
@@ -232,7 +232,7 @@ def test_chromatic_small_graphs():
 
 def test_chromatic_certificates():
     res = chromatic_number(k3())
-    assert verify_coloring(k3(), res.k, res.witness) == []
+    assert verify_coloring(k3(), uniform_lists(k3(), range(1, res.k + 1)), res.witness) == []
     assert res.unsat_below.status == "UNSAT"
 
 
