@@ -285,7 +285,11 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument(
         "--probe", action="store_true", help="random trials instead of exhaustion"
     )
-    p.add_argument("--pool", type=_parse_pool, help="color pool a..b (default 1..2k)")
+    p.add_argument(
+        "--pool",
+        type=_parse_pool,
+        help="color pool a..b (default 1..2k); write a negative a as --pool=-1..3",
+    )
     p.add_argument("--trials", type=_positive, default=100)
     p.add_argument("--seed", type=_nonnegative, default=0)
     p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
@@ -337,7 +341,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BudgetExhausted as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (GraphError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (GraphError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -61,6 +61,14 @@ def _expect(x, kind: type, what: str, size: Optional[int] = None, item=object):
 # ---------------------------------------------------------------- JSON
 
 
+def _decode(text: str):
+    # JSONDecodeError is a ValueError, and so is a number too long for int().
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise GraphError(f"not valid JSON: {exc}") from exc
+
+
 def graph_to_json(g: Graph) -> str:
     payload = {
         "vertices": [str(v) for v in g.vertices],
@@ -75,11 +83,7 @@ def graph_to_json(g: Graph) -> str:
 
 
 def graph_from_json(text: str) -> Graph:
-    # JSONDecodeError is a ValueError, and so is a number too long for int().
-    try:
-        payload = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise GraphError(f"not valid JSON: {exc}") from exc
+    payload = _decode(text)
     if not isinstance(payload, dict) or "vertices" not in payload:
         raise GraphError("graph JSON must be an object with a 'vertices' key")
     ids = _expect(payload["vertices"], list, "vertices", item=str)
@@ -106,11 +110,7 @@ def lists_to_json(lists: ListAssignment) -> str:
 
 
 def lists_from_json(text: str) -> ListAssignment:
-    # JSONDecodeError is a ValueError, and so is a number too long for int().
-    try:
-        payload = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise GraphError(f"not valid JSON: {exc}") from exc
+    payload = _decode(text)
     if not isinstance(payload, dict) or "palette" not in payload or "lists" not in payload:
         raise GraphError("list JSON must be an object with 'palette' and 'lists'")
     palette = _expect(payload["palette"], list, "palette", item=int)

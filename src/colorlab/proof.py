@@ -14,8 +14,8 @@ report is made.
 ``theorem_replay`` decides no claim itself: it runs the registered claims
 in THEOREM_CLAIMS (the four section lemmas, the direct monolithic UNSAT
 solve, planarity and the 3-coloring) through ``verify.run_claim`` and
-checks only the two apex facts here.  ``GadgetLemma`` and ``gadget_lemma``
-live next to the registry in ``colorlab.verify`` and are re-exported.
+checks only the two apex facts here.  ``gadget_lemma`` lives next to the
+registry in ``colorlab.verify`` and is re-exported.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from colorlab.build import (
 )
 from colorlab.graph import Graph, GraphError, VertexId, corner, delete_vertices, hub
 from colorlab.solve import DEFAULT_BUDGET, BudgetExhausted, decide, enumerate_colorings
-from colorlab.verify import GadgetLemma, gadget_lemma  # noqa: F401 - re-exported
-from colorlab.verify import run_claim
+from colorlab.verify import gadget_lemma  # noqa: F401 - re-exported
+from colorlab.verify import find_apex, run_claim
 
 LEMMAS = tuple(f"gadget-lemma-{j}" for j in range(1, 5))
 # The registered claims the theorem rests on, in the order they are run.
@@ -274,13 +274,11 @@ def theorem_replay(
     ]
 
     corners = {v for v in g.vertices if v.kind == "corner"}
-    apexes = [v for v in g.vertices if v.kind == "apex"]
-    coverage = len(apexes) == 1 and set(g.adj[apexes[0]]) == corners and len(corners) == 42
+    apex_vertex = find_apex(g)
+    coverage = set(g.adj.get(apex_vertex, ())) == corners and len(corners) == 42
     if not coverage:
         failures.append("apex coverage")
-    apex_list: tuple[int, ...] = ()
-    if len(apexes) == 1 and apexes[0] in ls.lists:
-        apex_list = ls.list_of(apexes[0])
+    apex_list: tuple[int, ...] = ls.lists.get(apex_vertex, ())
     if apex_list != (1, 2, 3, 4):
         failures.append("apex list")
 

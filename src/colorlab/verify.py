@@ -1,8 +1,11 @@
 """Structural certificates.
 
-Planarity is certified constructively: build a rotation system from the
-straight-line layout (exact rational arithmetic, no floating point), trace
-its faces, and check Euler's formula V - E + F = 2 on a connected graph.
+Planarity is certified constructively: build a rotation system (a plain
+mapping, vertex -> neighbors in counterclockwise order) from the
+straight-line layout (exact rational arithmetic, no floating point),
+extended over the apex (``find_apex``) along the rim's outer walk; check
+that it permutes each vertex's neighbors, trace its faces, and check
+Euler's formula V - E + F = 2 on a connected graph.
 Hamiltonicity comes from a pruned search whose output is replayed by an
 independent checker; non-Hamiltonicity of the apex-deleted graph comes from
 a cut certificate (delete S, count components, compare against |S|); a
@@ -31,6 +34,7 @@ from colorlab.graph import (
     Graph,
     GraphError,
     VertexId,
+    apex,
     components,
     degree_histogram,
     delete_vertices,
@@ -39,22 +43,8 @@ from colorlab.graph import (
 from colorlab.solve import DEFAULT_BUDGET, BudgetExhausted, chromatic_number, decide
 
 DirectedEdge = tuple[VertexId, VertexId]
-
-
-@dataclass(frozen=True)
-class RotationSystem:
-    """Cyclic counterclockwise neighbor order at every vertex."""
-
-    rotation: Mapping[VertexId, tuple[VertexId, ...]]
-
-    @property
-    def directed_edges(self) -> int:
-        return sum(len(r) for r in self.rotation.values())
-
-    def succ(self, v: VertexId, u: VertexId) -> VertexId:
-        """Neighbor following u in the cyclic order at v."""
-        rot = self.rotation[v]
-        return rot[(rot.index(u) + 1) % len(rot)]
+# Cyclic counterclockwise neighbor order at every vertex.
+RotationSystem = Mapping[VertexId, tuple[VertexId, ...]]
 
 
 @dataclass(frozen=True)
@@ -92,10 +82,10 @@ class CutCertificate:
 
 def validate_rotation(g: Graph, rot: RotationSystem) -> None:
     """Raise unless the rotation covers g and permutes each adjacency."""
-    if set(rot.rotation) != set(g.vertices):
+    if set(rot) != set(g.vertices):
         raise GraphError("rotation system does not cover the vertex set")
     for v in g.vertices:
-        if tuple(sorted(rot.rotation[v])) != g.adj[v]:
+        if tuple(sorted(rot[v])) != g.adj[v]:
             raise GraphError(f"rotation at {v} is not a permutation of its neighbors")
 
 
@@ -130,7 +120,7 @@ def rotation_from_layout(g: Graph) -> RotationSystem:
             if a == b:
                 raise GraphError(f"neighbors {u} and {w} of {v} lie at equal angle")
         rotation[v] = tuple(u for _, u in keyed)
-    return RotationSystem(rotation)
+    return rotation
 
 
 def face_census(rot: RotationSystem) -> FaceCensus:
@@ -142,9 +132,9 @@ def face_census(rot: RotationSystem) -> FaceCensus:
     the rotation system is a plane (genus-0) embedding.
     """
     succ_at: dict[VertexId, dict[VertexId, VertexId]] = {}
-    for v, rotv in rot.rotation.items():
+    for v, rotv in rot.items():
         succ_at[v] = {u: rotv[(i + 1) % len(rotv)] for i, u in enumerate(rotv)}
-    darts = [(v, u) for v in sorted(rot.rotation) for u in rot.rotation[v]]
+    darts = [(v, u) for v in sorted(rot) for u in rot[v]]
     seen: set[DirectedEdge] = set()
     faces: list[tuple[DirectedEdge, ...]] = []
     for start in darts:
@@ -164,7 +154,7 @@ def face_census(rot: RotationSystem) -> FaceCensus:
         least = min(range(len(walk)), key=lambda i: walk[i])
         faces.append(tuple(walk[least:] + walk[:least]))
     faces.sort()
-    nv = len(rot.rotation)
+    nv = len(rot)
     ne = len(darts) // 2
     nf = len(faces)
     return FaceCensus(faces=tuple(faces), v=nv, e=ne, f=nf, euler=nv - ne + nf)
@@ -204,6 +194,11 @@ def outer_walk(g: Graph, rot: Optional[RotationSystem] = None) -> tuple[VertexId
     return tuple(walk[least:] + walk[:least])
 
 
+def find_apex(g: Graph) -> Optional[VertexId]:
+    """``apex()`` if g has it, else None: no other vertex id is an apex."""
+    return apex() if apex() in g.adj else None
+
+
 def apex_embed(g: Graph) -> RotationSystem:
     """Extend the rim embedding of an apexed graph to all of it.
 
@@ -212,26 +207,25 @@ def apex_embed(g: Graph) -> RotationSystem:
     the apex edge in its outer-face gap (right after its walk predecessor).
     The result is a plane embedding whenever the rim embedding was one.
     """
-    apexes = [v for v in g.vertices if v.kind == "apex"]
-    if len(apexes) != 1:
-        raise GraphError(f"expected exactly one apex vertex, found {len(apexes)}")
-    apex = apexes[0]
-    rim = delete_vertices(g, [apex])
+    apex_vertex = find_apex(g)
+    if apex_vertex is None:
+        raise GraphError("expected exactly one apex vertex, found 0")
+    rim = delete_vertices(g, [apex_vertex])
     rim_rot = rotation_from_layout(rim)
     walk = outer_walk(rim, rim_rot)
-    if set(g.adj[apex]) != set(walk):
-        extra = sorted(set(g.adj[apex]) - set(walk))
-        missing = sorted(set(walk) - set(g.adj[apex]))
+    if set(g.adj[apex_vertex]) != set(walk):
+        extra = sorted(set(g.adj[apex_vertex]) - set(walk))
+        missing = sorted(set(walk) - set(g.adj[apex_vertex]))
         detail = extra[0] if extra else missing[0]
         raise GraphError(f"apex adjacency does not match the outer walk at {detail}")
-    rotation: dict[VertexId, tuple[VertexId, ...]] = dict(rim_rot.rotation)
+    rotation = dict(rim_rot)
     for i, v in enumerate(walk):
         pred = walk[i - 1]
         rotv = list(rotation[v])
         at = rotv.index(pred)
-        rotation[v] = tuple(rotv[: at + 1] + [apex] + rotv[at + 1 :])
-    rotation[apex] = tuple(reversed(walk))
-    return RotationSystem(rotation)
+        rotation[v] = tuple(rotv[: at + 1] + [apex_vertex] + rotv[at + 1 :])
+    rotation[apex_vertex] = tuple(reversed(walk))
+    return rotation
 
 
 @dataclass(frozen=True)
@@ -523,7 +517,8 @@ def gadget_lemma(
 
 
 def _apex_deleted(g: Graph) -> Graph:
-    return delete_vertices(g, [v for v in g.vertices if v.kind == "apex"])
+    apex_vertex = find_apex(g)
+    return delete_vertices(g, [] if apex_vertex is None else [apex_vertex])
 
 
 def _counts(g, lists, budget):
@@ -532,8 +527,9 @@ def _counts(g, lists, budget):
 
 
 def _planarity(g, lists, budget):
-    apexed = any(v.kind == "apex" for v in g.vertices)
-    census = face_census(apex_embed(g) if apexed else rotation_from_layout(g))
+    rot = rotation_from_layout(g) if find_apex(g) is None else apex_embed(g)
+    validate_rotation(g, rot)
+    census = face_census(rot)
     lengths = {str(k): c for k, c in sorted(census.face_lengths().items())}
     cert = {"euler": census.euler, "faces": census.f, "face_lengths": lengths}
     return census.euler == 2 and is_connected(g), cert

@@ -193,6 +193,24 @@ def test_choosability_pool_parsing(files, capsys):
     with pytest.raises(SystemExit) as err:
         main(["choosability", "--graph", str(files["k3"]), "--k", "2", "--pool", "2..1"])
     assert err.value.code == 2
+    # argparse takes a separate value that starts with '-' for an option, so
+    # a negative lower bound needs the '=' form.
+    base = ["choosability", "--graph", str(files["k3"]), "--k", "2", "--probe"]
+    assert main([*base, "--trials", "4", "--pool=-1..3"]) == 0
+    assert json.loads(capsys.readouterr().out)["pool"] == [-1, 0, 1, 2, 3]
+    for extra, message in (
+        (["--pool", "-1..3"], "argument --pool: expected one argument"),
+        (["--pool", "1-3"], "pool must look like 'a..b', got '1-3'"),
+        (["--pool", "a..3"], "pool bounds must be integers: 'a..3'"),
+        (["--budget", "0"], "expected a positive integer, got '0'"),
+        (["--seed", "-1"], "expected a nonnegative integer, got '-1'"),
+    ):
+        with pytest.raises(SystemExit) as err:
+            main([*base, *extra])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert message in stderr
+        assert "Traceback" not in stderr
 
 
 def test_choosability_pool_wider_than_the_palette_exits_2(files, capsys):
@@ -507,6 +525,16 @@ GARBAGE = {
         "graph.json",
         '{"vertices": ["plain:0"], "layout": {"plain:0": [true, 0]}}',
     ),
+    "dimacs-missing-problem-line": ("graph.col", "e 1 2\n"),
+    "inexact-coordinate": (
+        "graph.json",
+        '{"vertices": ["plain:0"], "layout": {"plain:0": [0.5, 0]}}',
+    ),
+}
+# The refusal each of these cases must name.
+GARBAGE_MESSAGES = {
+    "dimacs-missing-problem-line": "error: missing problem line",
+    "inexact-coordinate": "error: layout coordinate 0.5 is not exact",
 }
 
 
@@ -521,7 +549,7 @@ def test_garbage_graph_exits_2(case, files, tmp_path, capsys):
         argv = ["solve", "--graph", str(bad), "--k", "3"]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert err.startswith(GARBAGE_MESSAGES.get(case, "error:"))
     assert "Traceback" not in err
 
 

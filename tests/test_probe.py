@@ -11,7 +11,7 @@ import itertools
 import pytest
 
 from colorlab import choose, engine
-from colorlab.build import canonical_lists, make_lists, mirzakhani
+from colorlab.build import canonical_lists, make_lists, mirzakhani, uniform_lists
 from colorlab.choose import (
     ProbeReport,
     SplitMix64,
@@ -291,7 +291,18 @@ def test_mask_witness_rejects(bits, match):
         check_mask_witness(g.int_edges, (0b011, 0b110, 0b101), bits)
 
 
-def test_probe_raises_on_a_bad_kernel_witness(monkeypatch):
+# Each route replays the kernel's SAT witness before trusting it.  The path
+# is 2-choosable, so every exhaustive assignment is SAT; the doctored
+# witness colors both ends of an edge alike.
+BAD_WITNESS_ROUTES = {
+    "probe": lambda: random_probe(mirzakhani(), 4, 1, 0),
+    "exhaustive": lambda: choosability_exhaustive(_path3(), 2, range(1, 4)),
+    "decide": lambda: decide(_path3(), uniform_lists(_path3(), (1, 2))),
+}
+
+
+@pytest.mark.parametrize("route", sorted(BAD_WITNESS_ROUTES))
+def test_raises_on_a_bad_kernel_witness(route, monkeypatch):
     real = choose.engine.solve_colors
 
     def colors_everything_alike(n, adj, domains, budget, mode):
@@ -302,23 +313,7 @@ def test_probe_raises_on_a_bad_kernel_witness(monkeypatch):
 
     monkeypatch.setattr(choose.engine, "solve_colors", colors_everything_alike)
     with pytest.raises(RuntimeError, match="invalid witness"):
-        random_probe(mirzakhani(), 4, 1, 0)
-
-
-def test_exhaustive_raises_on_a_bad_kernel_witness(monkeypatch):
-    # The path is 2-choosable, so every assignment is SAT; the first
-    # witness, doctored as above, colors both ends of an edge alike.
-    real = choose.engine.solve_colors
-
-    def colors_everything_alike(n, adj, domains, budget, mode):
-        status, bits, *rest = real(n, adj, domains, budget, mode)
-        if bits is not None:
-            bits = (bits[0],) * n
-        return (status, bits, *rest)
-
-    monkeypatch.setattr(choose.engine, "solve_colors", colors_everything_alike)
-    with pytest.raises(RuntimeError, match="invalid witness"):
-        choosability_exhaustive(_path3(), 2, range(1, 4))
+        BAD_WITNESS_ROUTES[route]()
 
 
 def test_verify_coloring_lists_edge_violations_in_edge_order():

@@ -9,6 +9,7 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from colorlab import verify
 from colorlab.build import canonical_lists, mirzakhani, wheel4
 from colorlab.choose import SplitMix64
 from colorlab.graph import (
@@ -23,13 +24,13 @@ from colorlab.graph import (
 from colorlab.cli import _exit_code
 from colorlab.verify import (
     CLAIMS,
-    RotationSystem,
     apex_embed,
     audit,
     check_hamiltonian_cycle,
     check_matching,
     cut_certificate,
     face_census,
+    find_apex,
     hamilton,
     outer_walk,
     perfect_matching,
@@ -76,15 +77,16 @@ def petersen():
 
 def test_rotation_from_layout_is_counterclockwise():
     rot = rotation_from_layout(wheel4())
-    r = rot.rotation[hub(0, 0)]
+    r = rot[hub(0, 0)]
     assert r == (NE, NW, SW, SE)  # 45, 135, 225, 315 degrees
     validate_rotation(wheel4(), rot)
 
 
 def test_rotation_succ_wraps():
     rot = rotation_from_layout(wheel4())
-    assert rot.succ(hub(0, 0), SE) == NE
-    assert rot.directed_edges == 16
+    r = rot[hub(0, 0)]
+    assert r[(r.index(SE) + 1) % len(r)] == NE
+    assert sum(map(len, rot.values())) == 16
 
 
 def test_equal_angle_neighbors_rejected():
@@ -145,20 +147,20 @@ def test_rotation_key_matches_cross_products(centre, points):
         with pytest.raises(GraphError, match="equal angle"):
             rotation_from_layout(g)
     else:
-        assert rotation_from_layout(g).rotation[vs[0]] == tuple(expected)
+        assert rotation_from_layout(g)[vs[0]] == tuple(expected)
 
 
 def test_validate_rotation_rejects_bad_cover():
     g = square()
     rot = rotation_from_layout(g)
-    broken = dict(rot.rotation)
+    broken = dict(rot)
     del broken[SW]
     with pytest.raises(GraphError, match="cover"):
-        validate_rotation(g, RotationSystem(broken))
-    broken = dict(rot.rotation)
+        validate_rotation(g, broken)
+    broken = dict(rot)
     broken[SW] = (SE, SE)
     with pytest.raises(GraphError, match="permutation"):
-        validate_rotation(g, RotationSystem(broken))
+        validate_rotation(g, broken)
 
 
 # ----------------------------------------------------------- face census
@@ -180,9 +182,9 @@ def test_face_walks_conserve_directed_edges():
 def test_twisted_rotation_raises_genus():
     # reversing one vertex's cyclic order destroys planarity of the W4 embedding
     rot = rotation_from_layout(wheel4())
-    twisted = dict(rot.rotation)
+    twisted = dict(rot)
     twisted[hub(0, 0)] = tuple(reversed(twisted[hub(0, 0)]))
-    census = face_census(RotationSystem(twisted))
+    census = face_census(twisted)
     assert census.euler != 2
 
 
@@ -190,7 +192,7 @@ def test_euler_detects_nonplanar_input():
     # K5 has no plane embedding: every rotation system stays below euler 2
     vs = [plain(i) for i in range(5)]
     g = make_graph(vs, list(itertools.combinations(vs, 2)))
-    rot = RotationSystem({v: g.adj[v] for v in vs})
+    rot = {v: g.adj[v] for v in vs}
     assert face_census(rot).euler < 2
 
 
@@ -203,7 +205,7 @@ def test_mirzakhani_is_a_plane_triangulation():
 def test_apex_deleted_census():
     inner = delete_vertices(mirzakhani(), [apex()])
     rot = rotation_from_layout(inner)
-    assert rot.directed_edges == 282
+    assert sum(map(len, rot.values())) == 282
     census = face_census(rot)
     assert (census.v, census.e, census.f, census.euler) == (62, 141, 81, 2)
     assert census.face_lengths() == {3: 80, 42: 1}
@@ -261,7 +263,33 @@ def test_apex_rotation_is_reversed_walk():
     rot = apex_embed(mirzakhani())
     inner = delete_vertices(mirzakhani(), [apex()])
     walk = outer_walk(inner)
-    assert rot.rotation[apex()] == tuple(reversed(walk))
+    assert rot[apex()] == tuple(reversed(walk))
+
+
+def test_find_apex_is_a_lookup():
+    assert find_apex(mirzakhani()) == apex()
+    assert find_apex(wheel4()) is None
+    assert find_apex(delete_vertices(mirzakhani(), [apex()])) is None
+
+
+def test_planarity_claim_checks_the_rotation_against_the_graph(monkeypatch):
+    # An embedder that drops the apex -- corner(1, 1) edge from both ends
+    # still gives a genus-0 census (one quadrilateral face); the claim must
+    # refuse the rotation because it is not a rotation of M.
+    real = verify.apex_embed
+
+    def drops_an_apex_edge(g):
+        rot = dict(real(g))
+        rot[apex()] = tuple(u for u in rot[apex()] if u != corner(1, 1))
+        rot[corner(1, 1)] = tuple(u for u in rot[corner(1, 1)] if u != apex())
+        return rot
+
+    census = face_census(drops_an_apex_edge(mirzakhani()))
+    assert (census.euler, census.f) == (2, 121)
+    monkeypatch.setattr(verify, "apex_embed", drops_an_apex_edge)
+    ok, cert = run_claim("planarity", mirzakhani())
+    assert not ok
+    assert cert == {"error": "rotation at apex is not a permutation of its neighbors"}
 
 
 # ----------------------------------------------------------- hamiltonian
