@@ -5,7 +5,8 @@ not by the interpreter's recursion limit.
 
 List-coloring search
     Domains are bit masks over palette indices.  Variable order is minimum
-    remaining values with ties broken by vertex index; colors are tried in
+    remaining values with ties broken by degree, most neighbors first, and
+    then by vertex index (the DSATUR tie-break); colors are tried in
     ascending bit order.  Assigning a color removes it from unassigned
     neighbors (forward checking, one propagation counted per removal);
     domains that collapse to a single color are assigned from a FIFO queue
@@ -62,8 +63,9 @@ def solve_colors(n, adj, domains, budget, mode, on_solution=None):
 
     adj: sorted neighbor-index sequences, one per vertex; domains: bit masks.
     Returns (status, witness, nodes, propagations, count) where witness is
-    a tuple of bit indices (decide mode, SAT only) and count is the number
-    of proper colorings seen (exact unless status is EXHAUSTED).
+    a tuple of one-bit masks, one per vertex (decide mode, SAT only), and
+    count is the number of proper colorings seen (exact unless status is
+    EXHAUSTED).
     """
     dom = list(domains)
     color = [-1] * n
@@ -132,6 +134,10 @@ def solve_colors(n, adj, domains, budget, mode, on_solution=None):
 
     nodes = count = 0
     wide = MAX_PALETTE + 1
+    # The minimum-remaining-values scan order: most neighbors first, ties
+    # by index (the sort is stable), so among the smallest domains the
+    # best-connected vertex branches first.
+    order = sorted(range(n), key=list(map(len, adj)).__getitem__, reverse=True)
     # One frame per decision vertex on the current path:
     # [vertex, conflict set, colors left to try, atrail mark, trail mark].
     # The conflict set starts from the decisions that already pruned the
@@ -168,7 +174,7 @@ def solve_colors(n, adj, domains, budget, mode, on_solution=None):
             # After a successful propagation every unassigned domain holds
             # at least 2 colors, so the first 2 found is the minimum.
             best, best_size = -1, wide
-            for v in range(n):
+            for v in order:
                 if color[v] < 0:
                     size = dom[v].bit_count()
                     if size < best_size:

@@ -98,8 +98,9 @@ def decide(g: Graph, lists: ListAssignment, budget: int = DEFAULT_BUDGET) -> Sol
     """Does G admit a proper coloring from these lists?
 
     Deterministic: variable order is minimum remaining list with ties by
-    VertexId order, colors ascending.  Every SAT witness is re-checked by
-    verify_coloring before being returned.
+    degree, most neighbors first, then by VertexId order; colors ascending.
+    Every SAT witness is re-checked by verify_coloring before being
+    returned.
     """
     order, adj, domains = _indexed(g, lists)
     status, bits, nodes, props, _ = engine.solve_colors(

@@ -64,7 +64,7 @@ def test_witness_refuted_by_coloring():
 
 def test_witness_verdict_counts_propagations():
     verdict = verify_not_choosable(mirzakhani(), canonical_lists(), 4)
-    assert (verdict.nodes, verdict.propagations) == (4647, 16699)
+    assert (verdict.nodes, verdict.propagations) == (2116, 8050)
 
 
 def test_witness_budget_exhaustion_raises():

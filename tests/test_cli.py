@@ -144,7 +144,7 @@ def test_choosability_witness_reports_propagations(files, capsys):
     main(["choosability", "--graph", str(files["m"]), "--k", "4",
           "--witness", str(files["lists"])])
     assert json.loads(capsys.readouterr().out) == {
-        "nodes": 4647, "propagations": 16699, "verdict": "WitnessConfirmed"
+        "nodes": 2116, "propagations": 8050, "verdict": "WitnessConfirmed"
     }
 
 
@@ -311,13 +311,13 @@ def test_prove_section_budget_exits_3(capsys):
 
 # sha256 of each `prove` output, stdout bytes as printed.
 PROVE_SHA256 = {
-    "prove": "7961383b07b8897761bc92bf67ab7ca5b8da7319903cd14f66433f5d170a9079",
-    "prove --json": "6d85639893fde3df62ac897a674265e80d9b90bd76ea1c1cd509c9cd33c07f10",
-    "prove --section 1": "4faee826593ff81aebc4c1253045b17c37c89b913994d19657fe98200bdd446a",
-    "prove --section 2": "f5f16dda36f3b937684e05f3860b0d7a003108632fcf785c674986cc241378c7",
-    "prove --section 3": "390591a0444b356695899c0bfdbee8ffe935b8d8050f5e39b72ca0204c9b8297",
-    "prove --section 4": "34d9fa7f0199900c03fdf45fd1957f20d0e570d146f1ecdf02f1fb6d82008a31",
-    "prove --families": "4b41ff2ae9c0f430824b92b0383fe8b5bd16fdd17e585f5fd7c3f5263d9f01cb",
+    "prove": "bd922ddf05809c681d0369555835d75822c93b2f85f4383142f64ca5e2c1d77d",
+    "prove --json": "4657ded45eeef8d3aad05e5da87f131f74d70dd9cf2a659692116c22f260f0c3",
+    "prove --section 1": "8706056f2966d07171d7018b79bb7ae6e07f76e60ee89f82b9eddab759f48c48",
+    "prove --section 2": "9b88a0b8e420fc061e3b4021329901095ef5e51aca5c4300e167e200211de378",
+    "prove --section 3": "a1fb9940d467d346cf30a406de42c712dbbe28ca24955cf9ff35ebb50f693505",
+    "prove --section 4": "3bb791658e72305da5bd59b1e681859cb24ebb69b1d2ad30d7b954c1eaa682f8",
+    "prove --families": "a9f66c3c7da0f1fb47259118b2a38ac5e00a3d780949778607e3a3deefc17db7",
 }
 
 

@@ -5,8 +5,10 @@ repr of every output tuple (statuses, witnesses, node and propagation counts,
 solution counts, enumerated solutions, Hamiltonian cycles).  A change to the
 search order, the pruning or the accounting shows up here as a new digest; a
 change that is meant to alter them must update the digest and say why in
-CHANGES.md.  The brute-force and CNF oracle tests in test_solve.py check the
-verdicts themselves.
+CHANGES.md.  The answers digest pins only what a search decides (statuses,
+solution counts, sorted solutions), which no change of search order may move.
+The brute-force and CNF oracle tests in test_solve.py check the verdicts
+themselves.
 """
 
 import hashlib
@@ -33,7 +35,7 @@ from colorlab.engine import (
     solve_colors,
 )
 from colorlab.graph import make_graph, plain
-from colorlab.solve import _indexed, decide
+from colorlab.solve import _indexed, check_mask_witness, decide
 from colorlab.verify import check_hamiltonian_cycle, hamilton
 
 
@@ -108,6 +110,56 @@ def test_random_instances_all_modes_and_budgets():
     assert digest(outputs) == RANDOM_DIGEST
 
 
+def answers(n, adj, domains, mode):
+    """What one full-budget call decides, apart from the order it searched
+    in: the status, the solution count, the enumerated solutions sorted, and
+    for a decide-mode SAT only that its witness replays."""
+    out = run(n, adj, domains, 10**5, mode)
+    if mode == MODE_ENUM:
+        (status, _, _, _, count), sols = out
+        return status, count, sorted(sols)
+    status, witness, _, _, count = out
+    if witness is None:
+        return status, count, None
+    edges = [(i, j) for i in range(n) for j in adj[i] if i < j]
+    check_mask_witness(edges, domains, witness)
+    return status, count, "replays"
+
+
+def test_random_instances_answers():
+    # Pins the answers separately from RANDOM_DIGEST, which also pins the
+    # work and the witnesses: a change to the search order may move those,
+    # never these.
+    outputs = []
+    for seed in range(150):
+        n, adj, domains = random_indexed(seed)
+        for mode in (MODE_DECIDE, MODE_COUNT, MODE_ENUM):
+            outputs.append(answers(n, adj, domains, mode))
+    assert {out[0] for out in outputs} == {UNSAT, SAT}
+    assert digest(outputs) == RANDOM_ANSWERS_DIGEST
+
+
+@pytest.mark.parametrize(
+    "adj, domains, first, bit",
+    [
+        # K1,4 with its centre last: the centre (degree 4) branches first.
+        ([[4], [4], [4], [4], [0, 1, 2, 3]], [0b11] * 5, 4, 0b01),
+        # Equal degrees: the lower index branches first.
+        ([[1], [0]], [0b11] * 2, 0, 0b01),
+        # A 2-color leaf goes before the 3-color centre of K1,3.
+        ([[1, 2, 3], [0], [0], [0]], [0b111, 0b011, 0b111, 0b111], 1, 0b001),
+    ],
+)
+def test_branching_order(adj, domains, first, bit):
+    # The first decision takes the lowest color of its domain, and nothing
+    # is forced before it, so the witness shows which vertex it was.
+    status, witness, _, _, _ = solve_colors(
+        len(adj), adj, domains, 10**5, MODE_DECIDE
+    )
+    assert status == SAT
+    assert witness[first] == bit
+
+
 def test_theorem_instance_at_small_budgets():
     order, adj, domains = _indexed(mirzakhani(), canonical_lists())
     outputs = [
@@ -121,7 +173,7 @@ def test_theorem_instance_at_small_budgets():
 def test_theorem_instance_work_counts():
     order, adj, domains = _indexed(mirzakhani(), canonical_lists())
     out = solve_colors(len(order), adj, domains, 10**7, MODE_DECIDE)
-    assert out == (UNSAT, None, 4647, 16699, 0)
+    assert out == (UNSAT, None, 2116, 8050, 0)
 
 
 def test_wheel_all_modes():
@@ -138,7 +190,7 @@ def test_gadget_count():
         len(order), adj, domains, 10**7, MODE_COUNT
     )
     assert (status, found) == (SAT, 2512436)
-    assert nodes == 4208846
+    assert nodes == 4144635
 
 
 def test_random_hamilton_graphs():
@@ -202,8 +254,9 @@ def test_hamilton_long_cycle_deeper_than_recursion_limit(default_recursion_limit
     assert check_hamiltonian_cycle(g, res.cycle) == []
 
 
-RANDOM_DIGEST = "7407f87e2e435ff00abddf057c540e02a2b2e324890e1eca8cf6e5a8ce1c6267"
-THEOREM_DIGEST = "9ff15c3448edb4bfce96996f8d67753b601f82842b662c7470701ec40f310d54"
+RANDOM_DIGEST = "ad587480798c1df7221c30c3f1d539aba61b34dec12aa8edec5cd6aae06d408d"
+RANDOM_ANSWERS_DIGEST = "2b8ee04df481fa9b2aa534b81b81467af02cc74ae153f22682433a8ba21f2d3a"
+THEOREM_DIGEST = "dddb83b04295fcdc9cb6aab72e4847e7f023e617afd587aaa3515d108a62d99c"
 WHEEL_DIGEST = "760d553c7f87dfaf1714a181807e9c05fef4610c1bbb320ef7fc7b4f56e30cb1"
 HAMILTON_DIGEST = "ac8dc609f857f7c0e5375069eba5f0f52f5e25408dedf4e78a6f11acd6db3130"
 LARGER_HAMILTON_DIGEST = "7554949d36e6550bb5355f984b0b1b24b92ff5be1b119efeea0a1372a6a9a1a2"

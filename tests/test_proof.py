@@ -99,7 +99,7 @@ def test_pin_must_be_in_the_list():
 
 @pytest.mark.parametrize(
     "section,reduced_nodes,unreduced_nodes",
-    [(1, 283, 17), (2, 274, 17), (3, 283, 16), (4, 274, 16)],
+    [(1, 54, 17), (2, 54, 17), (3, 54, 15), (4, 54, 15)],
 )
 def test_gadget_lemma_passes(section, reduced_nodes, unreduced_nodes):
     lemma = gadget_lemma(section)
@@ -212,7 +212,7 @@ def test_theorem_replay_certifies():
     assert cert.apex_list == (1, 2, 3, 4)
     assert cert.claims["planarity"][0]
     payload = json.loads(cert.to_json())
-    assert payload["direct_solve"] == {"status": "UNSAT", "nodes": 4647, "propagations": 16699}
+    assert payload["direct_solve"] == {"status": "UNSAT", "nodes": 2116, "propagations": 8050}
     assert payload["coloring3"] is not None
 
 

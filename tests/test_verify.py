@@ -580,7 +580,7 @@ def test_audit_all_claims_pass():
     assert payload["budget"] == 10**7
 
 
-AUDIT_SHA256 = "f0e1d3eb59bd5c32c0f256960f954409fa20a182f6a92123a4f0476fa13f7c5d"
+AUDIT_SHA256 = "bb924b5df0c9e3ae3fd491a53fd8c392027acc87229e432bfeab90f9910e1cc9"
 
 
 def test_audit_is_deterministic():
