@@ -2,10 +2,12 @@
 
 Planarity is certified constructively: build a rotation system (a plain
 mapping, vertex -> neighbors in counterclockwise order) from the
-straight-line layout (exact rational arithmetic, no floating point),
-extended over the apex (``find_apex``) along the rim's outer walk; check
-that it permutes each vertex's neighbors, trace its faces, and check
-Euler's formula V - E + F = 2 on a connected graph.
+straight-line layout (exact integer arithmetic: a rational drawing is
+scaled once by its common denominator, so there is no floating point and
+no ``Fraction`` arithmetic in the loops), extended over the apex
+(``find_apex``) along the rim's outer walk; check that it permutes each
+vertex's neighbors, trace its faces, and check Euler's formula
+V - E + F = 2 on a connected graph.
 Hamiltonicity comes from a pruned search whose output is replayed by an
 independent checker; non-Hamiltonicity of the apex-deleted graph comes from
 a cut certificate (delete S, count components, compare against |S|); a
@@ -21,6 +23,7 @@ planarity and chromatic-number-3).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
@@ -89,19 +92,32 @@ def validate_rotation(g: Graph, rot: RotationSystem) -> None:
             raise GraphError(f"rotation at {v} is not a permutation of its neighbors")
 
 
-def _exact_layout(g: Graph) -> dict[VertexId, tuple[Fraction, Fraction]]:
-    """The layout as exact rational pairs, converted once per call."""
-    return {v: (Fraction(x), Fraction(y)) for v, (x, y) in g.layout.items()}
+def _exact_layout(g: Graph) -> dict[VertexId, tuple[int, int]]:
+    """The layout as integer pairs, converted once per call.
+
+    Each coordinate is read once as an exact ``Fraction`` and multiplied by
+    the least common multiple of all denominators.  A uniform positive
+    scaling keeps every angle, every collinear tie and every area sign, so
+    the geometry below runs on integers alone.
+    """
+    exact = [(v, Fraction(x), Fraction(y)) for v, (x, y) in g.layout.items()]
+    scale = math.lcm(*(c.denominator for _, x, y in exact for c in (x, y)))
+    return {
+        v: (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+        for v, x, y in exact
+    }
 
 
 def rotation_from_layout(g: Graph) -> RotationSystem:
     """Order every vertex's neighbors counterclockwise by layout angle.
 
-    The sort key is exact: the half plane ([0, pi) before [pi, 2*pi)),
-    then whether the direction is that half's first ray (dy == 0), then
-    -dx/dy, which increases with the angle inside either half.  Collinear
-    ties are detected, not rounded: two neighbors in exactly the same
-    direction raise an error naming the vertex.
+    The sort key is exact and integer: the half plane ([0, pi) before
+    [pi, 2*pi)), then whether the direction is that half's first ray
+    (dy == 0), then -dx * (den // dy), where den > 0 is the least common
+    multiple of the nonzero dy at the vertex.  That is den * (-dx/dy),
+    which increases with the angle inside either half.  Collinear ties are
+    detected, not rounded: two neighbors in exactly the same direction
+    raise an error naming the vertex.
     """
     if g.layout is None:
         raise GraphError("graph has no layout to orient by")
@@ -109,12 +125,12 @@ def rotation_from_layout(g: Graph) -> RotationSystem:
     rotation: dict[VertexId, tuple[VertexId, ...]] = {}
     for v in g.vertices:
         vx, vy = at[v]
+        rays = [(u, at[u][0] - vx, at[u][1] - vy) for u in g.adj[v]]
+        den = math.lcm(*(dy for _, _, dy in rays if dy))
         keyed = []
-        for u in g.adj[v]:
-            ux, uy = at[u]
-            dx, dy = ux - vx, uy - vy
+        for u, dx, dy in rays:
             half = 0 if dy > 0 or (dy == 0 and dx > 0) else 1
-            keyed.append(((half, dy != 0, -dx / dy if dy else 0), u))
+            keyed.append(((half, dy != 0, -dx * (den // dy) if dy else 0), u))
         keyed.sort()
         for (a, u), (b, w) in zip(keyed, keyed[1:]):
             if a == b:
@@ -151,7 +167,7 @@ def face_census(rot: RotationSystem) -> FaceCensus:
             cur = (v, succ_at[v][u])
             if cur == start:
                 break
-        least = min(range(len(walk)), key=lambda i: walk[i])
+        least = walk.index(min(walk))
         faces.append(tuple(walk[least:] + walk[:least]))
     faces.sort()
     nv = len(rot)

@@ -13,6 +13,7 @@ from colorlab import verify
 from colorlab.build import canonical_lists, mirzakhani, wheel4
 from colorlab.choose import SplitMix64
 from colorlab.graph import (
+    Graph,
     GraphError,
     apex,
     corner,
@@ -128,6 +129,10 @@ def cross_order(directions):
 COORD = st.one_of(
     st.integers(-3, 3),
     st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    # Large integers and denominators make the common-denominator scale
+    # and each vertex's lcm of dy large.
+    st.integers(-(10**30), 10**30),
+    st.fractions(min_value=-(10**30), max_value=10**30, max_denominator=10**9),
 )
 
 
@@ -270,6 +275,68 @@ def test_find_apex_is_a_lookup():
     assert find_apex(mirzakhani()) == apex()
     assert find_apex(wheel4()) is None
     assert find_apex(delete_vertices(mirzakhani(), [apex()])) is None
+
+
+def relaid(g, f):
+    """g with every layout point p moved to f(p)."""
+    return Graph(vertices=g.vertices, adj=g.adj, layout={v: f(*p) for v, p in g.layout.items()})
+
+
+def rim(g):
+    return delete_vertices(g, [apex()])
+
+
+def similar(x, y):
+    # A rational similarity: positive scale 2/7 and a rational shift.
+    return (Fraction(2, 7) * x + Fraction(1, 3), Fraction(2, 7) * y - Fraction(5, 11))
+
+
+def test_a_rational_similarity_keeps_the_embedding():
+    m = mirzakhani()
+    moved = relaid(m, similar)
+    assert any(Fraction(x).denominator > 1 for x, _ in moved.layout.values())
+    assert apex_embed(moved) == apex_embed(m)
+    assert outer_walk(rim(moved)) == outer_walk(rim(m))
+    assert run_claim("planarity", moved) == run_claim("planarity", m)
+
+
+def cyclic_equal(a, b):
+    return len(a) == len(b) and any(a == b[i:] + b[:i] for i in range(len(b)))
+
+
+def test_a_mirrored_drawing_reverses_every_rotation():
+    m = mirzakhani()
+    mirrored = relaid(m, lambda x, y: (-x, y))
+    rot, mirror_rot = rotation_from_layout(rim(m)), rotation_from_layout(rim(mirrored))
+    assert rot.keys() == mirror_rot.keys()
+    for v, order in rot.items():
+        assert cyclic_equal(mirror_rot[v], tuple(reversed(order)))
+    ok, cert = run_claim("planarity", mirrored)
+    assert ok
+    assert cert == {"euler": 2, "faces": 122, "face_lengths": {"3": 122}}
+
+
+FRACTION_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__lt__", "__gt__",
+)
+
+
+def test_planarity_geometry_does_no_fraction_arithmetic(monkeypatch):
+    # The layout is read as Fractions once and scaled to integers; a
+    # Fraction operation in the geometry loops would raise here.
+    m = mirzakhani()
+    moved = relaid(m, similar)
+    expected = run_claim("planarity", m)
+    assert expected[0]
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in the planarity geometry")
+
+    for name in FRACTION_ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, refuse)
+    assert run_claim("planarity", m) == expected
+    assert run_claim("planarity", moved) == expected
 
 
 def test_planarity_claim_checks_the_rotation_against_the_graph(monkeypatch):
