@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
@@ -112,7 +113,7 @@ def _decide_masks(g: Graph, masks: Sequence[int], budget: int) -> tuple[int, int
     """(status, nodes) of the kernel on g from domain masks; every SAT
     witness is replayed against the masks by check_mask_witness."""
     status, witness, nodes, _, _ = engine.solve_colors(
-        g.n, g.int_adj, masks, budget, engine.MODE_DECIDE
+        g.n, g.int_adj, g.int_order, masks, budget, engine.MODE_DECIDE
     )
     if status == engine.SAT:
         check_mask_witness(g.int_edges, masks, witness)
@@ -241,41 +242,113 @@ def _subsets(draw, items: list, k: int, count: int) -> list[list]:
     return out
 
 
-def _packed_streams(lanes: int):
-    """A function from a seed to the outputs of SplitMix64(seed).next(), in
-    order and without end, computed `lanes` at a time in one packed int.
+def _rep(lanes: int) -> int:
+    """A packed int that holds 1 in each of `lanes` lanes."""
+    return sum(1 << (_LANE * i) for i in range(lanes))
+
+
+def _packed_blocks(lanes: int):
+    """A function from a seed to the packed blocks of SplitMix64(seed)'s
+    outputs, in order and without end: output b * lanes + i of the stream
+    is the low 64 bits of lane i of block b.
 
     Output j of a stream is mix(seed + (j + 1) * gamma), so lane i of a
     block starting at state s holds s + (i + 1) * gamma, and the next block
     starts at s + lanes * gamma.
     """
-    rep = sum(1 << (_LANE * i) for i in range(lanes))
+    rep = _rep(lanes)
     mask = _M64 * rep
     steps = sum((((i + 1) * _GAMMA) & _M64) << (_LANE * i) for i in range(lanes))
     advance = lanes * _GAMMA & _M64
+
+    def blocks(state: int):
+        state &= _M64
+        while True:
+            yield _mix((state * rep + steps) & mask, mask)
+            state = (state + advance) & _M64
+
+    return blocks
+
+
+def _packed_streams(lanes: int):
+    """A function from a seed to the outputs of SplitMix64(seed).next(), in
+    order and without end: the lanes of _packed_blocks(lanes), unpacked."""
+    blocks = _packed_blocks(lanes)
     nbytes = lanes * _LANE // 8
     unpack = struct.Struct("<" + "Q8x" * lanes).unpack
 
     def stream(state: int):
-        state &= _M64
-        while True:
-            block = _mix((state * rep + steps) & mask, mask)
+        for block in blocks(state):
             yield from unpack(block.to_bytes(nbytes, "little"))
-            state = (state + advance) & _M64
 
     return stream
 
 
 def _mask_draws(n: int, k: int, ncolors: int):
     """A function from a seed to the domain masks of the n k-subsets that
-    n calls of SplitMix64(seed).sample(range(ncolors), k) would draw."""
+    n calls of SplitMix64(seed).sample(range(ncolors), k) would draw.
+
+    Draw j of a subset is reduced modulo m = ncolors - j, so each packed
+    block is reduced, lane by lane, modulo the lcm of the k bounds; a
+    subset then depends only on its k residues, and a memo maps them to
+    its mask.  A draw at or above the least rejection limit might be
+    rejected, so a trial whose blocks hold one takes the per-draw path,
+    which applies the rejection rule itself.
+    """
     # The palette positions as one-bit masks: the bits of a drawn subset
     # sum to its domain mask.
     bits = [1 << i for i in range(ncolors)]
-    streams = _packed_streams(min(n * k, DRAW_LANES))
+    lanes = min(n * k, DRAW_LANES)
+    streams = _packed_streams(lanes)
+
+    def per_draw(seed: int) -> list[int]:
+        return list(map(sum, _subsets(streams(seed).__next__, bits, k, n)))
+
+    bounds = range(ncolors, ncolors - k, -1)
+    lcm = math.lcm(*bounds)
+    if not lanes or lcm >= 1 << 30:
+        return per_draw
+    rep = _rep(lanes)
+    # A lane at or above the least limit carries into bit 64 of its lane.
+    over = ((1 << 64) - min(map(_limit, bounds))) * rep
+    carry = rep << 64
+    low = 0xFFFFFFFF * rep
+    # A draw hi * 2**32 + lo is congruent to t = hi * wrap + lo < 2**62
+    # (wrap < lcm < 2**30), and t // lcm is floor(t * mul / 2**shift)
+    # (Granlund & Montgomery 1994), the product below 2**126 in its lane;
+    # the quotient mask clears the bits the shift pulls in from above.
+    wrap = (1 << 32) % lcm
+    shift = 62 + (lcm - 1).bit_length()
+    mul = -(-(1 << shift) // lcm)
+    quotient = ((1 << (_LANE - shift)) - 1) * rep
+    nblocks = -(-n * k // lanes)
+    nbytes = lanes * _LANE // 8
+    unpack = struct.Struct("<" + "I12x" * lanes).unpack
+    blocks = _packed_blocks(lanes)
+
+    class Memo(dict):
+        # Residues modulo lcm, keyed through their reductions modulo the
+        # bounds, so the shuffle runs once per distinct subset draw.  A
+        # residue is below every rejection limit, so _subsets takes each.
+        def __missing__(self, residues):
+            reduced = tuple(map(int.__mod__, residues, bounds))
+            if reduced == residues:
+                mask = sum(_subsets(iter(residues).__next__, bits, k, 1)[0])
+            else:
+                mask = self[reduced]
+            self[residues] = mask
+            return mask
+
+    memo = Memo()
 
     def masks(seed: int) -> list[int]:
-        return list(map(sum, _subsets(streams(seed).__next__, bits, k, n)))
+        res: list[int] = []
+        for block in itertools.islice(blocks(seed), nblocks):
+            if (block + over) & carry:
+                return per_draw(seed)
+            t = (block >> 32 & low) * wrap + (block & low)
+            res += unpack((t - (t * mul >> shift & quotient) * lcm).to_bytes(nbytes, "little"))
+        return list(map(memo.__getitem__, zip(*(res[j : n * k : k] for j in range(k)))))
 
     return masks
 
@@ -334,7 +407,8 @@ def random_probe(
 
     Trial t draws its lists from a SplitMix64 stream seeded with
     seed XOR t, one sorted k-subset per vertex in VertexId order, so trials
-    are independent and the report depends only on the arguments.  A solve
+    are independent and the report depends only on the arguments.  The
+    seed must lie in [0, 2**64), the generator's state space.  A solve
     that exhausts its budget aborts the probe (raises), because a truncated
     success count would be silently wrong.
 
@@ -349,6 +423,9 @@ def random_probe(
     _check_pool(k, colors)
     if trials < 0:
         raise GraphError(f"trial count must be nonnegative, got {trials}")
+    if not 0 <= seed < 1 << 64:
+        # SplitMix64 keeps 64 bits of state: seed + 2**64 would repeat seed.
+        raise GraphError(f"seed must be in [0, 2**64), got {seed}")
     trial_masks = _mask_draws(g.n, k, len(colors))
     successes = 0
     for t in range(trials):

@@ -88,10 +88,13 @@ def _list_size(text: str) -> int:
     return k
 
 
-def _nonnegative(text: str) -> int:
+def _seed(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    # A probe seed is SplitMix64's 64-bit state; a larger one would alias.
+    if value >> 64:
+        raise argparse.ArgumentTypeError(f"expected an integer below 2**64, got {text!r}")
     return value
 
 
@@ -291,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="color pool a..b (default 1..2k); write a negative a as --pool=-1..3",
     )
     p.add_argument("--trials", type=_positive, default=100)
-    p.add_argument("--seed", type=_nonnegative, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_choosability)

@@ -13,6 +13,11 @@ List-coloring search
     (unit propagation).  A search node is one color tried at a decision
     vertex; forced assignments are not nodes.
 
+    The degree tie-break makes the scan order a function of the adjacency
+    alone, so it is computed once per graph, not once per call:
+    ``branch_order`` defines it, ``Graph.int_order`` keeps it on the graph,
+    and ``solve_colors`` takes it as an argument.
+
     Decision mode additionally backjumps on conflicts: every vertex carries
     the set of decision vertices that the colors missing from its domain
     depend on, and when a subtree is refuted without involving the decision
@@ -58,16 +63,27 @@ MODE_DECIDE, MODE_COUNT, MODE_ENUM = 0, 1, 2
 MAX_PALETTE = 64
 
 
-def solve_colors(n, adj, domains, budget, mode, on_solution=None):
+def branch_order(adj):
+    """The minimum-remaining-values scan order of the list-coloring search:
+    most neighbors first, ties by index (the sort is stable), so among the
+    smallest domains the best-connected vertex branches first."""
+    degree = list(map(len, adj))
+    return tuple(sorted(range(len(adj)), key=degree.__getitem__, reverse=True))
+
+
+def solve_colors(n, adj, order, domains, budget, mode, on_solution=None):
     """Run the list-coloring search on an indexed instance.
 
-    adj: sorted neighbor-index sequences, one per vertex; domains: bit masks.
+    adj: sorted neighbor-index sequences, one per vertex; order:
+    ``branch_order(adj)``; domains: bit masks.
     Returns (status, witness, nodes, propagations, count) where witness is
     a tuple of one-bit masks, one per vertex (decide mode, SAT only), and
     count is the number of proper colorings seen (exact unless status is
     EXHAUSTED).
     """
     dom = list(domains)
+    if 0 in dom:
+        return (UNSAT, None, 0, 0, 0)
     color = [-1] * n
     # blame[u]: the decisions (bit per vertex) behind the colors missing
     # from u's domain, the union of the removers' culprit masks.
@@ -76,7 +92,9 @@ def solve_colors(n, adj, domains, budget, mode, on_solution=None):
     # One entry per removal, in removal order: (vertex, its domain before,
     # its blame before).
     trail: list[tuple[int, int, int]] = []
-    pending: list[int] = []  # FIFO of forced (singleton-domain) vertices
+    # FIFO of forced (singleton-domain) vertices, seeded with the domains
+    # that are singletons from the start.
+    pending = [v for v, d in enumerate(dom) if d & (d - 1) == 0]
     props = 0
     # The set of decisions (bit per vertex) that the latest refutation
     # depended on: set by a domain wipe-out or by a node whose colors all
@@ -123,21 +141,12 @@ def solve_colors(n, adj, domains, budget, mode, on_solution=None):
             color[v] = -1
         del atrail[amark:]
 
-    if any(d == 0 for d in dom):
-        return (UNSAT, None, 0, 0, 0)
-    for v in range(n):
-        if dom[v] & (dom[v] - 1) == 0:
-            pending.append(v)
     if not run_queue():
         return (UNSAT, None, 0, props, 0)
     pending.clear()
 
     nodes = count = 0
     wide = MAX_PALETTE + 1
-    # The minimum-remaining-values scan order: most neighbors first, ties
-    # by index (the sort is stable), so among the smallest domains the
-    # best-connected vertex branches first.
-    order = sorted(range(n), key=list(map(len, adj)).__getitem__, reverse=True)
     # One frame per decision vertex on the current path:
     # [vertex, conflict set, colors left to try, atrail mark, trail mark].
     # The conflict set starts from the decisions that already pruned the

@@ -17,6 +17,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
+from colorlab.engine import branch_order
+
 Coord = Union[int, Fraction]
 
 _KINDS = ("apex", "hub", "corner", "plain")
@@ -129,6 +131,12 @@ class Graph:
         use and kept on this graph; derived graphs build their own."""
         pos = self.index()
         return tuple(tuple(pos[u] for u in self.adj[v]) for v in self.vertices)
+
+    @cached_property
+    def int_order(self) -> tuple[int, ...]:
+        """``engine.branch_order`` of ``int_adj``: the coloring kernel's
+        scan order, which it takes as an argument; kept on this graph."""
+        return branch_order(self.int_adj)
 
     @cached_property
     def int_edges(self) -> tuple[tuple[int, int], ...]:

@@ -104,7 +104,7 @@ def decide(g: Graph, lists: ListAssignment, budget: int = DEFAULT_BUDGET) -> Sol
     """
     order, adj, domains = _indexed(g, lists)
     status, bits, nodes, props, _ = engine.solve_colors(
-        len(order), adj, domains, budget, engine.MODE_DECIDE
+        len(order), adj, g.int_order, domains, budget, engine.MODE_DECIDE
     )
     witness = None
     if status == engine.SAT:
@@ -119,7 +119,7 @@ def count(g: Graph, lists: ListAssignment, budget: int = DEFAULT_BUDGET) -> Coun
     """Exact number of proper list colorings (status EXHAUSTED = lower bound)."""
     order, adj, domains = _indexed(g, lists)
     status, _, nodes, props, found = engine.solve_colors(
-        len(order), adj, domains, budget, engine.MODE_COUNT
+        len(order), adj, g.int_order, domains, budget, engine.MODE_COUNT
     )
     return CountResult(_STATUS[status], found, nodes, props, budget)
 
@@ -137,7 +137,7 @@ def enumerate_colorings(
         visitor(_decode(order, lists.palette, bits))
 
     status, _, nodes, props, found = engine.solve_colors(
-        len(order), adj, domains, budget, engine.MODE_ENUM, on_solution
+        len(order), adj, g.int_order, domains, budget, engine.MODE_ENUM, on_solution
     )
     return CountResult(_STATUS[status], found, nodes, props, budget)
 

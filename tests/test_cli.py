@@ -204,6 +204,9 @@ def test_choosability_pool_parsing(files, capsys):
         (["--pool", "a..3"], "pool bounds must be integers: 'a..3'"),
         (["--budget", "0"], "expected a positive integer, got '0'"),
         (["--seed", "-1"], "expected a nonnegative integer, got '-1'"),
+        (["--seed", str(2**64)], f"expected an integer below 2**64, got '{2**64}'"),
+        (["--seed", "18446744073709551619"],
+         "expected an integer below 2**64, got '18446744073709551619'"),
     ):
         with pytest.raises(SystemExit) as err:
             main([*base, *extra])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from colorlab.build import canonical_layout, mirzakhani
+from colorlab.engine import branch_order
 from colorlab.graph import (
     Graph,
     GraphError,
@@ -181,3 +182,16 @@ def test_int_adj_is_the_position_form_of_adj():
         assert g == Graph(g.vertices, g.adj, g.layout)
     assert reread == m and reread.int_adj == m.int_adj
     assert len(rest.int_adj) == 62
+
+
+def test_int_order_is_the_branch_order_of_int_adj():
+    m = mirzakhani()
+    assert m.int_order is m.int_order  # built once per graph
+    rest = delete_vertices(m, [apex()])
+    assert "int_order" not in vars(rest)  # a derived graph starts without one
+    for g in (m, rest):
+        assert g.int_order == branch_order(g.int_adj)
+        degree = [len(row) for row in g.int_adj]
+        assert sorted(g.int_order) == list(range(g.n))
+        for u, v in zip(g.int_order, g.int_order[1:]):
+            assert (-degree[u], u) < (-degree[v], v)  # most neighbors first, ties by index

@@ -31,6 +31,7 @@ from colorlab.engine import (
     MODE_ENUM,
     SAT,
     UNSAT,
+    branch_order,
     hamilton_cycle,
     solve_colors,
 )
@@ -85,10 +86,11 @@ def larger_hamilton(seed):
 
 def run(n, adj, domains, budget, mode):
     """One kernel call; in enum mode the solutions are part of the output."""
+    order = branch_order(adj)
     if mode != MODE_ENUM:
-        return solve_colors(n, adj, domains, budget, mode)
+        return solve_colors(n, adj, order, domains, budget, mode)
     sols = []
-    return solve_colors(n, adj, domains, budget, mode, sols.append), sols
+    return solve_colors(n, adj, order, domains, budget, mode, sols.append), sols
 
 
 def m_indexed():
@@ -154,7 +156,7 @@ def test_branching_order(adj, domains, first, bit):
     # The first decision takes the lowest color of its domain, and nothing
     # is forced before it, so the witness shows which vertex it was.
     status, witness, _, _, _ = solve_colors(
-        len(adj), adj, domains, 10**5, MODE_DECIDE
+        len(adj), adj, branch_order(adj), domains, 10**5, MODE_DECIDE
     )
     assert status == SAT
     assert witness[first] == bit
@@ -163,7 +165,7 @@ def test_branching_order(adj, domains, first, bit):
 def test_theorem_instance_at_small_budgets():
     order, adj, domains = _indexed(mirzakhani(), canonical_lists())
     outputs = [
-        solve_colors(len(order), adj, domains, budget, MODE_DECIDE)
+        solve_colors(len(order), adj, branch_order(adj), domains, budget, MODE_DECIDE)
         for budget in (1, 2, 7, 50, 509)
     ]
     assert [out[0] for out in outputs] == [EXHAUSTED] * 5
@@ -172,7 +174,7 @@ def test_theorem_instance_at_small_budgets():
 
 def test_theorem_instance_work_counts():
     order, adj, domains = _indexed(mirzakhani(), canonical_lists())
-    out = solve_colors(len(order), adj, domains, 10**7, MODE_DECIDE)
+    out = solve_colors(len(order), adj, branch_order(adj), domains, 10**7, MODE_DECIDE)
     assert out == (UNSAT, None, 2116, 8050, 0)
 
 
@@ -187,7 +189,7 @@ def test_gadget_count():
     g, _ = gadget()
     order, adj, domains = _indexed(g, canonical_lists().restrict(g.vertices))
     status, _, nodes, props, found = solve_colors(
-        len(order), adj, domains, 10**7, MODE_COUNT
+        len(order), adj, branch_order(adj), domains, 10**7, MODE_COUNT
     )
     assert (status, found) == (SAT, 2512436)
     assert nodes == 4144635

@@ -10,6 +10,7 @@ import hashlib
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from colorlab import choose, engine
 from colorlab.build import canonical_lists, make_lists, mirzakhani, uniform_lists
@@ -102,7 +103,7 @@ def test_probe_kernel_work_on_m_is_pinned():
         rng = SplitMix64(t)
         masks = [sum(1 << i for i in rng.sample(range(4), 3)) for _ in range(g.n)]
         status, _, dn, dp, _ = engine.solve_colors(
-            g.n, g.int_adj, masks, DEFAULT_BUDGET, engine.MODE_DECIDE
+            g.n, g.int_adj, g.int_order, masks, DEFAULT_BUDGET, engine.MODE_DECIDE
         )
         nodes, props, sat = nodes + dn, props + dp, sat + (status == engine.SAT)
     assert (nodes, props, sat) == (23155, 271155, 649)
@@ -194,12 +195,55 @@ def test_batched_draws_take_the_next_output_after_a_rejection(monkeypatch):
     assert got.to_json() == oracle_probe(g, 3, 4, seed, (1, 2, 3, 4)).to_json()
 
 
+def test_a_draw_at_the_floor_that_is_not_rejected_takes_the_per_draw_path(monkeypatch):
+    # Trial 0's first draw (m = 4) is 2**64 - 1: at or above the least
+    # rejection limit, 2**64 - 1 for m = 3, but below its own, 2**64, so it
+    # is kept.  The packed path cannot tell the two apart and leaves the
+    # trial to the per-draw path, which must still draw the same masks.
+    seed = (unmix64(M64) - GAMMA) & M64
+    assert mix64((seed + GAMMA) & M64) == M64
+    expected = spelled_out_masks(seed, 63, 3, 4)
+    assert sampled_masks(seed, 63, 3, 4) == expected
+    real, counts = choose._subsets, []
+
+    def counting_subsets(draw, items, k, count):
+        counts.append(count)
+        return real(draw, items, k, count)
+
+    monkeypatch.setattr(choose, "_subsets", counting_subsets)
+    for lanes in (1, 7, 189, 256):
+        monkeypatch.setattr(choose, "DRAW_LANES", lanes)
+        counts.clear()
+        assert choose._mask_draws(63, 3, 4)(seed) == expected
+        assert 63 in counts  # all 63 subsets from one per-draw stream
+
+
 @pytest.mark.parametrize("n, k, ncolors", [(63, 3, 64), (0, 3, 4), (3, 64, 64), (90, 1, 1)])
 def test_batched_draws_match_sample(n, k, ncolors):
     for seed in (0, 1, M64, 2**64 + 7, -1):
         expected = sampled_masks(seed, n, k, ncolors)
         assert choose._mask_draws(n, k, ncolors)(seed) == expected
         assert spelled_out_masks(seed, n, k, ncolors) == expected
+
+
+# (n, k, ncolors) with 0 <= k <= ncolors <= 64 and n <= 300.
+DRAW_SHAPES = st.integers(0, 64).flatmap(
+    lambda ncolors: st.tuples(st.integers(0, 300), st.integers(0, ncolors), st.just(ncolors))
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(DRAW_SHAPES, st.integers(0, M64))
+# Several packed blocks per trial (n*k > DRAW_LANES); an lcm of the bounds
+# at or above 2**30, which takes the per-draw path; odd lcms (63, and 1
+# with no bounds at all).
+@example((300, 3, 4), 1)
+@example((5, 20, 40), 2)
+@example((200, 1, 63), 3)
+@example((7, 0, 5), 4)
+def test_packed_draws_match_the_spelled_out_stream(shape, seed):
+    n, k, ncolors = shape
+    assert choose._mask_draws(n, k, ncolors)(seed) == spelled_out_masks(seed, n, k, ncolors)
 
 
 # ----------------------------------------------------------- probe errors
@@ -232,6 +276,19 @@ def test_probe_refuses_a_negative_trial_count():
     with pytest.raises(GraphError, match="trial count must be nonnegative, got -5"):
         random_probe(mirzakhani(), 3, -5, 0, pool=(1, 2, 3, 4))
     assert random_probe(mirzakhani(), 3, 0, 0, pool=(1, 2, 3, 4)).trials == 0
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3])
+def test_probe_refuses_a_seed_outside_64_bits(seed):
+    # 2**64 + 3 would otherwise draw the very trials of seed 3.
+    with pytest.raises(GraphError, match=r"seed must be in \[0, 2\*\*64\), got "):
+        random_probe(mirzakhani(), 3, 2, seed, pool=(1, 2, 3, 4))
+
+
+def test_probe_accepts_the_largest_seed():
+    g = mirzakhani()
+    got = random_probe(g, 3, 2, M64, pool=(1, 2, 3, 4))
+    assert got.to_json() == oracle_probe(g, 3, 2, M64, (1, 2, 3, 4)).to_json()
 
 
 @pytest.mark.parametrize("k", [-1, 0])
@@ -320,8 +377,8 @@ BAD_WITNESS_ROUTES = {
 def test_raises_on_a_bad_kernel_witness(route, monkeypatch):
     real = choose.engine.solve_colors
 
-    def colors_everything_alike(n, adj, domains, budget, mode):
-        status, bits, *rest = real(n, adj, domains, budget, mode)
+    def colors_everything_alike(n, adj, order, domains, budget, mode):
+        status, bits, *rest = real(n, adj, order, domains, budget, mode)
         if bits is not None:
             bits = (bits[0],) * n
         return (status, bits, *rest)
