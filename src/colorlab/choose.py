@@ -408,7 +408,11 @@ def random_probe(
     Trial t draws its lists from a SplitMix64 stream seeded with
     seed XOR t, one sorted k-subset per vertex in VertexId order, so trials
     are independent and the report depends only on the arguments.  The
-    seed must lie in [0, 2**64), the generator's state space.  A solve
+    seed must lie in [0, 2**64), the generator's state space.  Seeds alias:
+    when trials is a multiple of 2**b, the seeds below 2**b run the same
+    set of trials, in another order, so they report the same successes
+    (seed 1 with 1,000 trials solves seed 0's); runs meant to be
+    independent need seeds that differ above the bits of trials.  A solve
     that exhausts its budget aborts the probe (raises), because a truncated
     success count would be silently wrong.
 

@@ -294,7 +294,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="color pool a..b (default 1..2k); write a negative a as --pool=-1..3",
     )
     p.add_argument("--trials", type=_positive, default=100)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument(
+        "--seed",
+        type=_seed,
+        default=0,
+        help="probe seed in [0, 2**64); trial t uses seed XOR t, so when --trials "
+        "is a multiple of 2**b the seeds below 2**b run the same trials",
+    )
     p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_choosability)

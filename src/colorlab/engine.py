@@ -7,23 +7,31 @@ List-coloring search
     Domains are bit masks over palette indices.  Variable order is minimum
     remaining values with ties broken by degree, most neighbors first, and
     then by vertex index (the DSATUR tie-break); colors are tried in
-    ascending bit order.  Assigning a color removes it from unassigned
-    neighbors (forward checking, one propagation counted per removal);
-    domains that collapse to a single color are assigned from a FIFO queue
-    (unit propagation).  A search node is one color tried at a decision
-    vertex; forced assignments are not nodes.
+    ascending bit order.  Decide mode breaks ties first by the number of
+    times a vertex's domain was wiped out in the call, most first, and
+    among equal counts the most recently wiped out first; vertices never
+    wiped out keep the degree order (dom/wdeg, Boussemart et al. 2004,
+    with each wipe-out weighting only the vertex wiped out).  Assigning a
+    color removes it from unassigned neighbors (forward checking, one
+    propagation counted per removal); domains that collapse to a single
+    color are assigned from a FIFO queue (unit propagation).  A search node
+    is one color tried at a decision vertex; forced assignments are not
+    nodes.
 
-    The degree tie-break makes the scan order a function of the adjacency
-    alone, so it is computed once per graph, not once per call:
+    The degree tie-break makes the starting scan order a function of the
+    adjacency alone, so it is computed once per graph, not once per call:
     ``branch_order`` defines it, ``Graph.int_order`` keeps it on the graph,
-    and ``solve_colors`` takes it as an argument.
+    and ``solve_colors`` takes it as an argument.  Counting and enumeration
+    scan in that order throughout; decide mode copies it and moves each
+    vertex whose domain is wiped out within its call.
 
     Decision mode additionally backjumps on conflicts: every vertex carries
     the set of decision vertices that the colors missing from its domain
     depend on, and when a subtree is refuted without involving the decision
     vertex at its root, the remaining colors of that vertex are skipped
-    (they fail for the same reason).  Backjumping changes node counts only,
-    never the verdict or the first witness found, and is disabled for
+    (they fail for the same reason).  Backjumping never changes the
+    verdict; it changes node counts and, as the wipe-outs it skips no longer
+    reorder the scan, possibly the witness found.  It is disabled for
     counting and enumeration, which must visit every solution.
 
     Bookkeeping: ``blame[u]`` is u's conflict set, a bit per decision
@@ -50,6 +58,8 @@ Hamiltonian search
 
 from __future__ import annotations
 
+import bisect
+
 # Name of the kernel, reported in benchmark run metadata.
 BACKEND_NAME = "python"
 
@@ -75,7 +85,9 @@ def solve_colors(n, adj, order, domains, budget, mode, on_solution=None):
     """Run the list-coloring search on an indexed instance.
 
     adj: sorted neighbor-index sequences, one per vertex; order:
-    ``branch_order(adj)``; domains: bit masks.
+    ``branch_order(adj)``, the scan order among equal domain sizes, which
+    decide mode adapts within the call (a vertex moves ahead each time its
+    domain is wiped out); domains: bit masks.
     Returns (status, witness, nodes, propagations, count) where witness is
     a tuple of one-bit masks, one per vertex (decide mode, SAT only), and
     count is the number of proper colorings seen (exact unless status is
@@ -96,6 +108,12 @@ def solve_colors(n, adj, order, domains, budget, mode, on_solution=None):
     # that are singletons from the start.
     pending = [v for v, d in enumerate(dom) if d & (d - 1) == 0]
     props = 0
+    # The minimum-remaining-values scan order.  In decide mode a vertex
+    # whose domain is wiped out moves ahead of every vertex wiped out fewer
+    # times, and ahead of those wiped out as often; fails[u] is minus the
+    # number of u's wipe-outs, so scan stays sorted by it.
+    scan = list(order)
+    fails = [0] * n
     # The set of decisions (bit per vertex) that the latest refutation
     # depended on: set by a domain wipe-out or by a node whose colors all
     # failed, read by the node above it.
@@ -118,6 +136,11 @@ def solve_colors(n, adj, order, domains, budget, mode, on_solution=None):
                 props += 1
                 if d == 0:
                     jump = b | vwhy
+                    if mode == MODE_DECIDE:
+                        scan.remove(u)
+                        fails[u] -= 1
+                        at = bisect.bisect_left(scan, fails[u], key=fails.__getitem__)
+                        scan.insert(at, u)
                     return False
                 if d & (d - 1) == 0:
                     pending.append(u)
@@ -183,7 +206,7 @@ def solve_colors(n, adj, order, domains, budget, mode, on_solution=None):
             # After a successful propagation every unassigned domain holds
             # at least 2 colors, so the first 2 found is the minimum.
             best, best_size = -1, wide
-            for v in order:
+            for v in scan:
                 if color[v] < 0:
                     size = dom[v].bit_count()
                     if size < best_size:

@@ -97,8 +97,10 @@ def _decode(order, palette, bits) -> dict[VertexId, int]:
 def decide(g: Graph, lists: ListAssignment, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Does G admit a proper coloring from these lists?
 
-    Deterministic: variable order is minimum remaining list with ties by
-    degree, most neighbors first, then by VertexId order; colors ascending.
+    Deterministic: variable order is minimum remaining list, ties first by
+    the number of times the vertex's list was wiped out in this search (most
+    first, the latest first among equal counts), then by degree, most
+    neighbors first, then by VertexId order; colors ascending.
     Every SAT witness is re-checked by verify_coloring before being
     returned.
     """

@@ -144,7 +144,7 @@ def test_choosability_witness_reports_propagations(files, capsys):
     main(["choosability", "--graph", str(files["m"]), "--k", "4",
           "--witness", str(files["lists"])])
     assert json.loads(capsys.readouterr().out) == {
-        "nodes": 2116, "propagations": 8050, "verdict": "WitnessConfirmed"
+        "nodes": 711, "propagations": 2724, "verdict": "WitnessConfirmed"
     }
 
 
@@ -314,11 +314,11 @@ def test_prove_section_budget_exits_3(capsys):
 
 # sha256 of each `prove` output, stdout bytes as printed.
 PROVE_SHA256 = {
-    "prove": "bd922ddf05809c681d0369555835d75822c93b2f85f4383142f64ca5e2c1d77d",
-    "prove --json": "4657ded45eeef8d3aad05e5da87f131f74d70dd9cf2a659692116c22f260f0c3",
-    "prove --section 1": "8706056f2966d07171d7018b79bb7ae6e07f76e60ee89f82b9eddab759f48c48",
+    "prove": "4771f8b521454bcc93e69b236a9ab99905b83c8fd5d150daa523c3031226bc62",
+    "prove --json": "d0fe75fc904f25e2b67589ed05860a582b72d9147902089a16a813b474e285c5",
+    "prove --section 1": "fb757ccb505394b8839ebed538d6df686084ee3ba909a0d2e04c9da041466836",
     "prove --section 2": "9b88a0b8e420fc061e3b4021329901095ef5e51aca5c4300e167e200211de378",
-    "prove --section 3": "a1fb9940d467d346cf30a406de42c712dbbe28ca24955cf9ff35ebb50f693505",
+    "prove --section 3": "e93d5cb84024f7b30a988f9f1dce61e64125dc74174e1e00a540983048a264d5",
     "prove --section 4": "3bb791658e72305da5bd59b1e681859cb24ebb69b1d2ad30d7b954c1eaa682f8",
     "prove --families": "a9f66c3c7da0f1fb47259118b2a38ac5e00a3d780949778607e3a3deefc17db7",
 }

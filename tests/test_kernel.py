@@ -84,6 +84,25 @@ def larger_hamilton(seed):
     return n, adj
 
 
+def larger_decide(seed):
+    """16 to 40 vertices, each with a random k-subset of k + 1 colors
+    (k = 3 or 4), at an average degree (about 6 for k = 3, 11 for k = 4)
+    where both answers are common: searches deep enough for the same
+    vertex's domain to be wiped out again and again."""
+    rng = SplitMix64(seed)
+    n = 16 + rng.below(25)
+    k = 3 + rng.below(2)
+    per_mille = (6000 if k == 3 else 11000) // (n - 1)
+    adj = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.below(1000) < per_mille:
+                adj[i].append(j)
+                adj[j].append(i)
+    domains = [sum(1 << c for c in rng.sample(range(k + 1), k)) for _ in range(n)]
+    return n, adj, domains
+
+
 def run(n, adj, domains, budget, mode):
     """One kernel call; in enum mode the solutions are part of the output."""
     order = branch_order(adj)
@@ -141,6 +160,13 @@ def test_random_instances_answers():
     assert digest(outputs) == RANDOM_ANSWERS_DIGEST
 
 
+# A triangle 0-1-2 with a pendant on 0 and on 1; the pendants' one-color
+# lists meet no list of their neighbours, so nothing is forced by them.
+# Vertex 1 (degree 3) comes before vertex 2 (degree 2) in branch_order.
+WIPE_ADJ = [[1, 2, 4], [0, 2, 3], [0, 1], [1], [0]]
+WIPE_DOMAINS = [0b101, 0b011, 0b011, 0b100, 0b010]
+
+
 @pytest.mark.parametrize(
     "adj, domains, first, bit",
     [
@@ -150,16 +176,57 @@ def test_random_instances_answers():
         ([[1], [0]], [0b11] * 2, 0, 0b01),
         # A 2-color leaf goes before the 3-color centre of K1,3.
         ([[1, 2, 3], [0], [0], [0]], [0b111, 0b011, 0b111, 0b111], 1, 0b001),
+        # A wiped-out vertex goes before a better-connected one (decide
+        # mode): vertex 0 branches first, and its lowest color forces 1 to
+        # 0b10, which wipes out 2.  After 0's second color, 1 and 2 both
+        # hold 2 colors; 2 branches first, so 1 is forced to 0b10, where the
+        # degree order would branch on 1 and force 2 to 0b10.
+        (WIPE_ADJ, WIPE_DOMAINS, 2, 0b01),
     ],
 )
 def test_branching_order(adj, domains, first, bit):
-    # The first decision takes the lowest color of its domain, and nothing
-    # is forced before it, so the witness shows which vertex it was.
+    # The decision under test takes the lowest color of its domain, and
+    # nothing forces its vertex before it, so the witness shows which
+    # vertex branched.
     status, witness, _, _, _ = solve_colors(
         len(adj), adj, branch_order(adj), domains, 10**5, MODE_DECIDE
     )
     assert status == SAT
     assert witness[first] == bit
+
+
+@pytest.mark.parametrize("mode", [MODE_COUNT, MODE_ENUM])
+def test_counting_keeps_the_degree_order(mode):
+    # Counting and enumeration visit every solution in branch_order, and a
+    # wipe-out does not reorder them.
+    out = run(5, WIPE_ADJ, WIPE_DOMAINS, 10**5, mode)
+    if mode == MODE_ENUM:
+        out, sols = out
+        assert sols == [(0b100, 0b01, 0b10, 0b100, 0b10), (0b100, 0b10, 0b01, 0b100, 0b10)]
+    assert out == (SAT, None, 4, 5, 2)
+
+
+def test_larger_decide_answers():
+    # Each decide verdict agrees with count mode, whose count is exact or,
+    # when its budget runs out, a lower bound that already proves SAT; and
+    # every SAT witness replays.
+    statuses = []
+    for seed in range(80):
+        n, adj, domains = larger_decide(seed)
+        status, witness, _, _, _ = run(n, adj, domains, 10**5, MODE_DECIDE)
+        cstatus, _, _, _, count = run(n, adj, domains, 3000, MODE_COUNT)
+        assert cstatus != EXHAUSTED or count > 0
+        assert (status == SAT) == (count > 0)
+        if status == SAT:
+            edges = [(i, j) for i in range(n) for j in adj[i] if i < j]
+            check_mask_witness(edges, domains, witness)
+        statuses.append(status)
+    assert set(statuses) == {UNSAT, SAT}
+
+
+def test_larger_decide_work():
+    outputs = [run(*larger_decide(seed), 10**5, MODE_DECIDE) for seed in range(80)]
+    assert digest(outputs) == LARGER_DECIDE_DIGEST
 
 
 def test_theorem_instance_at_small_budgets():
@@ -175,7 +242,7 @@ def test_theorem_instance_at_small_budgets():
 def test_theorem_instance_work_counts():
     order, adj, domains = _indexed(mirzakhani(), canonical_lists())
     out = solve_colors(len(order), adj, branch_order(adj), domains, 10**7, MODE_DECIDE)
-    assert out == (UNSAT, None, 2116, 8050, 0)
+    assert out == (UNSAT, None, 711, 2724, 0)
 
 
 def test_wheel_all_modes():
@@ -258,7 +325,8 @@ def test_hamilton_long_cycle_deeper_than_recursion_limit(default_recursion_limit
 
 RANDOM_DIGEST = "ad587480798c1df7221c30c3f1d539aba61b34dec12aa8edec5cd6aae06d408d"
 RANDOM_ANSWERS_DIGEST = "2b8ee04df481fa9b2aa534b81b81467af02cc74ae153f22682433a8ba21f2d3a"
-THEOREM_DIGEST = "dddb83b04295fcdc9cb6aab72e4847e7f023e617afd587aaa3515d108a62d99c"
+THEOREM_DIGEST = "d1dfa54f992557fe2816ac94343bd754d91130399a6fb1c5fb36b244910ae8b4"
+LARGER_DECIDE_DIGEST = "46648749f56cf16c57912f6686c18fe576aac43a582867d2082fac8fea0d6d38"
 WHEEL_DIGEST = "760d553c7f87dfaf1714a181807e9c05fef4610c1bbb320ef7fc7b4f56e30cb1"
 HAMILTON_DIGEST = "ac8dc609f857f7c0e5375069eba5f0f52f5e25408dedf4e78a6f11acd6db3130"
 LARGER_HAMILTON_DIGEST = "7554949d36e6550bb5355f984b0b1b24b92ff5be1b119efeea0a1372a6a9a1a2"

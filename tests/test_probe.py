@@ -106,7 +106,7 @@ def test_probe_kernel_work_on_m_is_pinned():
             g.n, g.int_adj, g.int_order, masks, DEFAULT_BUDGET, engine.MODE_DECIDE
         )
         nodes, props, sat = nodes + dn, props + dp, sat + (status == engine.SAT)
-    assert (nodes, props, sat) == (23155, 271155, 649)
+    assert (nodes, props, sat) == (22360, 257844, 649)
 
 
 def test_probe_trial_statuses_on_m_are_pinned():

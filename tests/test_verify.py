@@ -647,7 +647,7 @@ def test_audit_all_claims_pass():
     assert payload["budget"] == 10**7
 
 
-AUDIT_SHA256 = "bb924b5df0c9e3ae3fd491a53fd8c392027acc87229e432bfeab90f9910e1cc9"
+AUDIT_SHA256 = "e535b951afcb25571ad8904667b5aee8a9366b852a95835246e6ed932142dc6c"
 
 
 def test_audit_is_deterministic():
