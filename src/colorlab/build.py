@@ -12,11 +12,11 @@ is section 1 moved j-1 sections east by ``_shift``; the gadget is section 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .graph import (
     Coord,
+    FrozenFields,
     Graph,
     GraphError,
     VertexId,
@@ -55,20 +55,24 @@ SECTION_PERMUTATIONS: tuple[dict[int, int], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class ListAssignment:
-    """Per-vertex color lists over a finite palette."""
+class ListAssignment(FrozenFields):
+    """Per-vertex color lists over a finite palette; every list is nonempty
+    and inside the palette.  Read-only and compared by its two fields."""
 
+    _fields = ("palette", "lists")
     palette: tuple[int, ...]
     lists: Mapping[VertexId, tuple[int, ...]]
 
-    def __post_init__(self) -> None:
-        pal = set(self.palette)
-        for v, lst in self.lists.items():
+    def __init__(
+        self, palette: tuple[int, ...], lists: Mapping[VertexId, tuple[int, ...]]
+    ) -> None:
+        pal = set(palette)
+        for v, lst in lists.items():
             if not lst:
                 raise GraphError(f"empty color list at {v}")
             if not set(lst) <= pal:
                 raise GraphError(f"list at {v} leaves the palette: {lst}")
+        self.__dict__.update(palette=palette, lists=lists)
 
     def list_of(self, v: VertexId) -> tuple[int, ...]:
         if v not in self.lists:

@@ -16,8 +16,7 @@ import itertools
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from colorlab import engine
 from colorlab.build import ListAssignment, make_lists
@@ -33,8 +32,7 @@ from colorlab.solve import (
 _M64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class ChoosabilityVerdict:
+class ChoosabilityVerdict(NamedTuple):
     """Outcome of a choosability question.
 
     kind: WitnessConfirmed | WitnessRefuted | Choosable | NotChoosable.
@@ -377,8 +375,7 @@ class SplitMix64:
         return tuple(sorted(_subsets(self.next, arr, k, 1)[0]))
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     graph: str
     k: int
     trials: int
@@ -387,7 +384,7 @@ class ProbeReport:
     pool: tuple[int, ...]
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        return json.dumps(self._asdict(), sort_keys=True, separators=(",", ":"))
 
 
 def default_pool(k: int) -> tuple[int, ...]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from typing import Iterable, Optional
 
 from colorlab import graphio
@@ -220,7 +219,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
         return _exit_code(ok, [cert])
     if args.families:
         fam = forcing_families(budget=args.budget)
-        payload = asdict(fam)
+        payload = fam._asdict()
         if not fam.reason:
             del payload["reason"]
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)

@@ -12,7 +12,6 @@ seed.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
@@ -86,17 +85,58 @@ def parse_vertex(text: str) -> VertexId:
     raise GraphError(f"unparseable vertex id {text!r}")
 
 
-@dataclass(frozen=True)
-class Graph:
+class FrozenFields:
+    """Named fields set once, compared by value, never hashed.
+
+    The base of ``Graph`` and ``ListAssignment``.  A subclass names its
+    fields in ``_fields`` and stores them in its ``__init__`` through
+    ``__dict__``; any later assignment or deletion raises AttributeError.
+    Unlike a named tuple it is not a sequence: ``len`` and ``iter`` raise
+    TypeError instead of running over the fields.
+    """
+
+    _fields: tuple[str, ...] = ()
+    __hash__ = None  # type: ignore[assignment]  # the fields hold dicts
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(FrozenFields):
     """Immutable simple graph.
 
     ``vertices`` is sorted by the vertex total order and every adjacency
-    tuple is sorted the same way; treat all fields as read-only.
+    tuple is sorted the same way; the fields are read-only.  Equality
+    compares the three fields, never the cached integer forms below.
     """
 
+    _fields = ("vertices", "adj", "layout")
     vertices: tuple[VertexId, ...]
     adj: Mapping[VertexId, tuple[VertexId, ...]]
-    layout: Optional[Mapping[VertexId, tuple[Coord, Coord]]] = None
+    layout: Optional[Mapping[VertexId, tuple[Coord, Coord]]]
+
+    def __init__(
+        self,
+        vertices: tuple[VertexId, ...],
+        adj: Mapping[VertexId, tuple[VertexId, ...]],
+        layout: Optional[Mapping[VertexId, tuple[Coord, Coord]]] = None,
+    ) -> None:
+        self.__dict__.update(vertices=vertices, adj=adj, layout=layout)
 
     @property
     def n(self) -> int:

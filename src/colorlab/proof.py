@@ -21,8 +21,7 @@ registry in ``colorlab.verify`` and is re-exported.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from colorlab.build import (
     ListAssignment,
@@ -60,8 +59,7 @@ FAMILIES: tuple[tuple[int, int, int, int], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class ForcingReport:
+class ForcingReport(NamedTuple):
     """What a pinned color forces, by exhaustive enumeration.
 
     Every proper list coloring extending ``pinned`` assigns each vertex in
@@ -116,8 +114,7 @@ def wheel_forcing(
     return ForcingReport({pin_vertex: pin_color}, forced, len(colorings))
 
 
-@dataclass(frozen=True)
-class FamiliesResult:
+class FamiliesResult(NamedTuple):
     """The three-family collapse of the hubless gadget.
 
     With color 1 banned from the outer corners, every proper coloring of
@@ -182,8 +179,7 @@ def forcing_families(budget: int = DEFAULT_BUDGET) -> FamiliesResult:
     )
 
 
-@dataclass(frozen=True)
-class TheoremCertificate:
+class TheoremCertificate(NamedTuple):
     """Assembled evidence that M is planar, 3-colorable, and not 4-choosable:
     run_claim's (ok, certificate) for each of THEOREM_CLAIMS, by name, and
     the two apex facts."""

@@ -10,8 +10,7 @@ bit masks) plus a CNF export channel for third-party cross-validation.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from colorlab import engine
 from colorlab.build import ListAssignment, uniform_lists
@@ -29,8 +28,7 @@ class BudgetExhausted(RuntimeError):
     """A search ran out of node budget where a verdict was required."""
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Outcome of one decision solve.
 
     status "SAT" carries a verified witness; "UNSAT" means the search space
@@ -60,8 +58,7 @@ class SolveResult:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class CountResult:
+class CountResult(NamedTuple):
     """Outcome of a counting or enumeration solve."""
 
     status: str
@@ -71,7 +68,7 @@ class CountResult:
     budget: int
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        return json.dumps(self._asdict(), sort_keys=True, separators=(",", ":"))
 
 
 def check_palette(size: int) -> None:
@@ -195,8 +192,7 @@ def check_mask_witness(
             )
 
 
-@dataclass(frozen=True)
-class ChromaticResult:
+class ChromaticResult(NamedTuple):
     k: int
     witness: dict[VertexId, int]
     unsat_below: SolveResult  # the UNSAT (or vacuous k=0) result at k-1
@@ -219,8 +215,7 @@ def chromatic_number(g: Graph, budget: int = DEFAULT_BUDGET) -> ChromaticResult:
         below = res
 
 
-@dataclass(frozen=True)
-class CnfDocument:
+class CnfDocument(NamedTuple):
     """Propositional encoding of a list-coloring instance.
 
     One variable per (vertex, color-in-list) pair; clauses are at-least-one

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from colorlab import __version__
 from colorlab.build import ListAssignment, canonical_lists, mirzakhani, section_gadget
@@ -50,8 +49,7 @@ DirectedEdge = tuple[VertexId, VertexId]
 RotationSystem = Mapping[VertexId, tuple[VertexId, ...]]
 
 
-@dataclass(frozen=True)
-class FaceCensus:
+class FaceCensus(NamedTuple):
     """Face walks of a rotation system plus the Euler count."""
 
     faces: tuple[tuple[DirectedEdge, ...], ...]
@@ -71,8 +69,7 @@ class FaceCensus:
         return all(len(face) == 3 for face in self.faces)
 
 
-@dataclass(frozen=True)
-class CutCertificate:
+class CutCertificate(NamedTuple):
     """Deleting S left more components than |S|: no Hamiltonian cycle."""
 
     cut: tuple[VertexId, ...]
@@ -244,8 +241,7 @@ def apex_embed(g: Graph) -> RotationSystem:
     return rotation
 
 
-@dataclass(frozen=True)
-class HamiltonResult:
+class HamiltonResult(NamedTuple):
     status: str  # FOUND | NONE | EXHAUSTED
     cycle: Optional[tuple[VertexId, ...]]
     nodes: int
@@ -386,8 +382,7 @@ def _max_matching(n: int, adj: list[list[int]]) -> list[int]:
     return match
 
 
-@dataclass(frozen=True)
-class MatchingResult:
+class MatchingResult(NamedTuple):
     matching: Optional[tuple[tuple[VertexId, VertexId], ...]]
     reason: str = ""
 
@@ -447,8 +442,7 @@ def check_matching(g: Graph, matching: Iterable[tuple[VertexId, VertexId]]) -> l
     return problems
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     claims: tuple[dict, ...]
     versions: dict
     budget: int
@@ -458,11 +452,10 @@ class AuditReport:
         return all(c["status"] == "pass" for c in self.claims)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        return json.dumps(self._asdict(), indent=2, sort_keys=True)
 
 
-@dataclass(frozen=True)
-class GadgetLemma:
+class GadgetLemma(NamedTuple):
     """Section j must use color j on its twelve outer corners.
 
     Certified by two solves: the section's lists with color j removed

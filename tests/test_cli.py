@@ -462,6 +462,43 @@ def test_build_and_export_outputs_are_pinned(name, built):
     assert digest == BUILD_EXPORT_SHA256[name]
 
 
+# sha256 of the stdout of each command, bytes as printed, with its exit
+# code.  The commands read the files in `built` and the wheel's lists.
+CLI_STDOUT_SHA256 = {
+    "solve --graph m.json --lists m.lists.json":
+        (1, "ddfa1232f224bdc617d6d15874beea06ad0d20e379543e86e4c75860efa3c3fe"),
+    "solve --graph m.json --k 3":
+        (0, "444d42fcec14e8fd9cc53d32a84b55d37b323f49f5b739e52049f51604439947"),
+    "solve --graph wheel4.json --lists wheel4.lists.json --count":
+        (0, "06e545ffca0a11f6c13e9bf0867aae9646773083a43a1854b8545313376fb636"),
+    "choosability --graph m.json --k 4 --witness m.lists.json":
+        (0, "924018824fddbf809a8ac1cef623758fb63494e849636eadaf9cb25dd75d66b3"),
+    "choosability --graph wheel4.json --k 2":
+        (1, "bee806063428b61f566a435da8e1667181dbbccb8a23f4dde9c4cb6a6fbb5ece"),
+    "choosability --graph wheel4.json --k 3 --pool 1..5":
+        (0, "00a0132dbfa05a6215d493e1cf8d9fc1414dd2da3f7f980d5686001579e000dc"),
+    "choosability --graph m.json --k 4 --probe --trials 5 --seed 3":
+        (0, "13392dee5f8093280320b203250c97aa88278206e2e20e66e7fae81289b3ee13"),
+    "verify --graph m.json":
+        (0, "4226111ac8ef6b12a961f5d679dcd82317e797ece8deeb3d3d63f531568eb548"),
+}
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(built):
+    """`built` plus the lists of the wheel, which `solve --count` reads."""
+    assert main(["build", "wheel4", "--lists", str(built / "wheel4.lists.json")]) == 0
+    return built
+
+
+@pytest.mark.parametrize("command", sorted(CLI_STDOUT_SHA256))
+def test_cli_outputs_are_pinned(command, cli_inputs, capsys):
+    argv = [str(cli_inputs / a) if a.endswith(".json") else a for a in command.split()]
+    code, digest = CLI_STDOUT_SHA256[command]
+    assert main(argv) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 # ------------------------------------------------------------ error paths
 
 

@@ -179,7 +179,10 @@ def test_int_adj_is_the_position_form_of_adj():
         for v, row in zip(g.vertices, g.int_adj):
             assert type(row) is tuple and list(row) == sorted(row)
             assert list(row) == [pos[u] for u in g.adj[v]]
-        assert g == Graph(g.vertices, g.adj, g.layout)
+        fresh = Graph(g.vertices, g.adj, g.layout)
+        assert "int_adj" not in vars(fresh)  # equality ignores the cached forms
+        assert g == fresh and fresh == g
+        assert g.layout is not None and g != Graph(g.vertices, g.adj)
     assert reread == m and reread.int_adj == m.int_adj
     assert len(rest.int_adj) == 62
 
