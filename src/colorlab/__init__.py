@@ -4,98 +4,81 @@ Builds a 63-vertex planar graph that is 3-colorable yet not 4-choosable,
 together with the 4-element color lists that defeat it, and machine-checks
 every structural claim (planarity, chromatic number, choosability,
 Hamiltonicity, matchings) with independently verifiable certificates.
+
+The names below are exported lazily (PEP 562): ``import colorlab`` loads
+no submodule, and the first use of a name imports its home module, so a
+program that only builds M compiles ``graph`` and ``build`` alone.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from colorlab.build import (
-    ListAssignment,
-    canonical_lists,
-    gadget,
-    make_lists,
-    mirzakhani,
-    uniform_lists,
-    wheel4,
-    wheel_lists,
-)
-from colorlab.choose import (
-    choosability_exhaustive,
-    random_probe,
-    verify_not_choosable,
-)
-from colorlab.graph import (
-    Graph,
-    GraphError,
-    VertexId,
-    apex,
-    components,
-    corner,
-    delete_vertices,
-    hub,
-    make_graph,
-    plain,
-)
-from colorlab.proof import forcing_families, gadget_lemma, theorem_replay, wheel_forcing
-from colorlab.solve import (
-    BudgetExhausted,
-    chromatic_number,
-    count,
-    decide,
-    enumerate_colorings,
-    to_cnf,
-    verify_coloring,
-)
-from colorlab.verify import (
-    apex_embed,
-    audit,
-    cut_certificate,
-    face_census,
-    hamilton,
-    outer_walk,
-    perfect_matching,
-    rotation_from_layout,
-)
+# Each submodule -> the names it exports here.
+_HOMES = {
+    "build": (
+        "ListAssignment",
+        "canonical_lists",
+        "gadget",
+        "make_lists",
+        "mirzakhani",
+        "uniform_lists",
+        "wheel4",
+        "wheel_lists",
+    ),
+    "choose": ("choosability_exhaustive", "random_probe", "verify_not_choosable"),
+    "graph": (
+        "Graph",
+        "GraphError",
+        "VertexId",
+        "apex",
+        "components",
+        "corner",
+        "delete_vertices",
+        "hub",
+        "make_graph",
+        "plain",
+    ),
+    "proof": ("forcing_families", "gadget_lemma", "theorem_replay", "wheel_forcing"),
+    "solve": (
+        "BudgetExhausted",
+        "chromatic_number",
+        "count",
+        "decide",
+        "enumerate_colorings",
+        "to_cnf",
+        "verify_coloring",
+    ),
+    "verify": (
+        "apex_embed",
+        "audit",
+        "cut_certificate",
+        "face_census",
+        "hamilton",
+        "outer_walk",
+        "perfect_matching",
+        "rotation_from_layout",
+    ),
+}
+# Each exported name -> its home module.
+_EXPORTS = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "BudgetExhausted",
-    "Graph",
-    "GraphError",
-    "ListAssignment",
-    "VertexId",
-    "__version__",
-    "apex",
-    "apex_embed",
-    "audit",
-    "canonical_lists",
-    "choosability_exhaustive",
-    "chromatic_number",
-    "components",
-    "corner",
-    "count",
-    "cut_certificate",
-    "decide",
-    "delete_vertices",
-    "enumerate_colorings",
-    "face_census",
-    "forcing_families",
-    "gadget",
-    "gadget_lemma",
-    "hamilton",
-    "hub",
-    "make_graph",
-    "make_lists",
-    "mirzakhani",
-    "outer_walk",
-    "perfect_matching",
-    "plain",
-    "random_probe",
-    "rotation_from_layout",
-    "theorem_replay",
-    "to_cnf",
-    "uniform_lists",
-    "verify_coloring",
-    "verify_not_choosable",
-    "wheel4",
-    "wheel_forcing",
-    "wheel_lists",
-]
+# Submodules that ``colorlab.<name>`` reaches without a prior import.
+_SUBMODULES = {*_HOMES, "cli", "engine", "graphio"}
+
+__all__ = sorted(("__version__", *_EXPORTS))
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f"colorlab.{_EXPORTS[name]}"), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f"colorlab.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_SUBMODULES})

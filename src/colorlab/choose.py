@@ -403,20 +403,20 @@ def random_probe(
     """Solve `trials` random k-list assignments drawn from the pool.
 
     Trial t draws its lists from a SplitMix64 stream seeded with
-    seed XOR t, one sorted k-subset per vertex in VertexId order, so trials
-    are independent and the report depends only on the arguments.  The
-    seed must lie in [0, 2**64), the generator's state space.  Seeds alias:
-    when trials is a multiple of 2**b, the seeds below 2**b run the same
-    set of trials, in another order, so they report the same successes
-    (seed 1 with 1,000 trials solves seed 0's); runs meant to be
-    independent need seeds that differ above the bits of trials.  A solve
+    mix(seed) XOR t, one sorted k-subset per vertex in VertexId order, where
+    mix is SplitMix64's output function, so trials are independent and the
+    report depends only on the arguments.  The seed must lie in [0, 2**64),
+    the generator's state space.  mix is a bijection of 64-bit values that
+    scatters nearby seeds, so two seeds share a trial only when their mixes
+    differ in the low bits alone (seeds 0-7 at 256 trials share none); and
+    mix(0) = 0, so seed 0's trial t is seeded with t.  A solve
     that exhausts its budget aborts the probe (raises), because a truncated
     success count would be silently wrong.
 
     The subsets are drawn as palette positions and go to the kernel as bit
     masks; every SAT witness is re-checked against those masks over
     ``Graph.int_edges`` by check_mask_witness.  A trial's draws are the
-    same stream that SplitMix64(seed ^ t).sample would consume, in the
+    same stream that SplitMix64(mix(seed) ^ t).sample would consume, in the
     same order with the same rejections, but computed up to DRAW_LANES
     outputs at a time in the 128-bit lanes of one packed int.
     """
@@ -425,12 +425,13 @@ def random_probe(
     if trials < 0:
         raise GraphError(f"trial count must be nonnegative, got {trials}")
     if not 0 <= seed < 1 << 64:
-        # SplitMix64 keeps 64 bits of state: seed + 2**64 would repeat seed.
+        # SplitMix64 keeps 64 bits of state: a wider seed is refused, not truncated.
         raise GraphError(f"seed must be in [0, 2**64), got {seed}")
     trial_masks = _mask_draws(g.n, k, len(colors))
+    base = _mix(seed, _M64)
     successes = 0
     for t in range(trials):
-        status, _ = _decide_masks(g, trial_masks(seed ^ t), budget)
+        status, _ = _decide_masks(g, trial_masks(base ^ t), budget)
         if status == engine.EXHAUSTED:
             raise BudgetExhausted(
                 f"trial {t} undecided within {budget} nodes; probe aborted"

@@ -11,31 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
-from colorlab import graphio
-from colorlab.build import (
-    ListAssignment,
-    canonical_layout,
-    canonical_lists,
-    gadget,
-    mirzakhani,
-    uniform_lists,
-    wheel4,
-    wheel_lists,
-)
-from colorlab.choose import choosability_exhaustive, default_pool, random_probe
 from colorlab.graph import Graph, GraphError
-from colorlab.proof import forcing_families, theorem_replay
-from colorlab.solve import (
-    DEFAULT_BUDGET,
-    MAX_PALETTE,
-    BudgetExhausted,
-    count,
-    decide,
-    to_cnf,
-)
-from colorlab.verify import audit, not_choosable_claim, run_claim
+from colorlab.solve import DEFAULT_BUDGET, MAX_PALETTE, BudgetExhausted
+
+if TYPE_CHECKING:
+    from colorlab.build import ListAssignment
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -91,13 +73,16 @@ def _seed(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    # A probe seed is SplitMix64's 64-bit state; a larger one would alias.
+    # A probe seed is SplitMix64's 64-bit state; random_probe refuses a larger one.
     if value >> 64:
         raise argparse.ArgumentTypeError(f"expected an integer below 2**64, got {text!r}")
     return value
 
 
 def _load_graph(path: str) -> Graph:
+    from colorlab import graphio
+    from colorlab.build import canonical_layout
+
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if path.endswith(".col") or text.lstrip().startswith(("c", "p ")):
@@ -109,6 +94,8 @@ def _load_graph(path: str) -> Graph:
 
 
 def _load_lists(path: str) -> ListAssignment:
+    from colorlab import graphio
+
     with open(path, "r", encoding="utf-8") as fh:
         return graphio.lists_from_json(fh.read())
 
@@ -131,6 +118,9 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    from colorlab import graphio
+    from colorlab.build import canonical_lists, gadget, mirzakhani, wheel4, wheel_lists
+
     if args.target == "mirzakhani":
         g = mirzakhani()
         lists = canonical_lists()
@@ -150,6 +140,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from colorlab.build import uniform_lists
+    from colorlab.solve import count, decide
+
     g = _load_graph(args.graph)
     if args.lists:
         lists = _load_lists(args.lists)
@@ -172,10 +165,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_choosability(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     if args.witness:
+        from colorlab.verify import not_choosable_claim
+
         lists = _load_lists(args.witness)
         ok, payload = not_choosable_claim(g, lists, args.k, args.budget)
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
         return EXIT_OK if ok else EXIT_FAIL
+    from colorlab.choose import choosability_exhaustive, default_pool, random_probe
+
     pool = args.pool if args.pool else default_pool(args.k)
     if args.probe:
         report = random_probe(
@@ -200,6 +197,8 @@ def _cmd_choosability(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from colorlab.verify import run_claim
+
     g = _load_graph(args.graph)
     picked = [f for f in VERIFY_CLAIMS if getattr(args, f)] or list(VERIFY_CLAIMS)
     results = {}
@@ -211,6 +210,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_prove(args: argparse.Namespace) -> int:
+    from colorlab.build import canonical_lists, mirzakhani
+    from colorlab.proof import forcing_families, theorem_replay
+    from colorlab.verify import run_claim
+
     if args.section is not None:
         ok, cert = run_claim(
             f"gadget-lemma-{args.section}", mirzakhani(), canonical_lists(), args.budget
@@ -230,6 +233,8 @@ def _cmd_prove(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
+    from colorlab.verify import audit
+
     g = _load_graph(args.graph) if args.graph else None
     lists = _load_lists(args.lists) if args.lists else None
     report = audit(graph=g, lists=lists, budget=args.budget)
@@ -238,6 +243,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
+    from colorlab import graphio
+    from colorlab.solve import to_cnf
+
     g = _load_graph(args.graph)
     if args.format == "json":
         _emit(graphio.graph_to_json(g), args.out)
@@ -297,8 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=_seed,
         default=0,
-        help="probe seed in [0, 2**64); trial t uses seed XOR t, so when --trials "
-        "is a multiple of 2**b the seeds below 2**b run the same trials",
+        help="probe seed in [0, 2**64); trial t draws from SplitMix64 seeded with "
+        "mix(seed) XOR t, so different seeds run different trials",
     )
     p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
     p.add_argument("--out")

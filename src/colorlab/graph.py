@@ -12,13 +12,22 @@ seed.
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Union,
+)
 
-from colorlab.engine import branch_order
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-Coord = Union[int, Fraction]
+Coord = Union[int, "Fraction"]
 
 _KINDS = ("apex", "hub", "corner", "plain")
 
@@ -176,6 +185,8 @@ class Graph(FrozenFields):
     def int_order(self) -> tuple[int, ...]:
         """``engine.branch_order`` of ``int_adj``: the coloring kernel's
         scan order, which it takes as an argument; kept on this graph."""
+        from colorlab.engine import branch_order
+
         return branch_order(self.int_adj)
 
     @cached_property

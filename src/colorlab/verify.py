@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from functools import partial
 from typing import Iterable, Mapping, NamedTuple, Optional
 
@@ -92,16 +91,21 @@ def validate_rotation(g: Graph, rot: RotationSystem) -> None:
 def _exact_layout(g: Graph) -> dict[VertexId, tuple[int, int]]:
     """The layout as integer pairs, converted once per call.
 
-    Each coordinate is read once as an exact ``Fraction`` and multiplied by
-    the least common multiple of all denominators.  A uniform positive
-    scaling keeps every angle, every collinear tie and every area sign, so
-    the geometry below runs on integers alone.
+    Each coordinate is read once as an exact ratio of integers by
+    ``as_integer_ratio`` (int, ``Fraction`` and float all have it) and
+    multiplied by the least common multiple of all denominators.  A uniform
+    positive scaling keeps every angle, every collinear tie and every area
+    sign, so the geometry below runs on integers alone.
     """
-    exact = [(v, Fraction(x), Fraction(y)) for v, (x, y) in g.layout.items()]
-    scale = math.lcm(*(c.denominator for _, x, y in exact for c in (x, y)))
+    exact = []
+    for v, xy in g.layout.items():
+        try:
+            exact.append((v, *(c.as_integer_ratio() for c in xy)))
+        except (AttributeError, ValueError, OverflowError):  # a str, nan, inf
+            raise GraphError(f"coordinates of {v} are not exact numbers: {xy!r}") from None
+    scale = math.lcm(*(den for _, x, y in exact for _, den in (x, y)))
     return {
-        v: (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
-        for v, x, y in exact
+        v: (xn * (scale // xd), yn * (scale // yd)) for v, (xn, xd), (yn, yd) in exact
     }
 
 

@@ -30,7 +30,7 @@ def oracle_probe(g, k, trials, seed, pool=None):
     colors = sorted(set(pool)) if pool is not None else list(default_pool(k))
     successes = 0
     for t in range(trials):
-        rng = SplitMix64(seed ^ t)
+        rng = SplitMix64(mix64(seed) ^ t)
         lists = make_lists(colors, {v: rng.sample(colors, k) for v in g.vertices})
         res = decide(g, lists, DEFAULT_BUDGET)
         assert res.status != "EXHAUSTED"
@@ -87,6 +87,36 @@ def test_probe_matches_list_oracle_on_small_graphs():
 def test_probe_pinned_successes_on_m():
     report = random_probe(mirzakhani(), 3, 1000, 0, pool=(1, 2, 3, 4))
     assert report.successes == 649
+
+
+def test_probe_seeds_do_not_share_trials(monkeypatch):
+    # Trial t of seed s is seeded with mix64(s) ^ t, not s ^ t: with the
+    # latter, seeds 0-7 at 256 trials would all run the same 256 trials.
+    g = mirzakhani()
+    real_draws = choose._mask_draws
+    seen = []
+
+    def recording_draws(n, k, ncolors):
+        draws = real_draws(n, k, ncolors)
+
+        def trial_masks(trial_seed):
+            masks = draws(trial_seed)
+            seen.append((trial_seed, masks))
+            return masks
+
+        return trial_masks
+
+    monkeypatch.setattr(choose, "_mask_draws", recording_draws)
+    monkeypatch.setattr(choose, "_decide_masks", lambda g, masks, budget: (engine.SAT, None))
+    trial_seeds, first_masks = [], []
+    for seed in range(8):
+        seen.clear()
+        assert random_probe(g, 3, 256, seed, pool=(1, 2, 3, 4)).successes == 256
+        assert len(seen) == 256
+        trial_seeds.append({s for s, _ in seen})
+        first_masks.append(seen[0][1])
+    assert len(set().union(*trial_seeds)) == 8 * 256
+    assert len({tuple(m) for m in first_masks}) == 8
 
 
 def test_probe_on_the_empty_graph():
@@ -190,9 +220,11 @@ def test_batched_draws_take_the_next_output_after_a_rejection(monkeypatch):
         monkeypatch.setattr(choose, "DRAW_LANES", lanes)
         assert choose._mask_draws(63, 3, 4)(seed) == expected
     monkeypatch.undo()
+    # The probe seeds trial 0 with mix64(probe seed), so this probe seed's
+    # trial 0 is the stream above.
     g = mirzakhani()
-    got = random_probe(g, 3, 4, seed, pool=(1, 2, 3, 4))
-    assert got.to_json() == oracle_probe(g, 3, 4, seed, (1, 2, 3, 4)).to_json()
+    got = random_probe(g, 3, 4, unmix64(seed), pool=(1, 2, 3, 4))
+    assert got.to_json() == oracle_probe(g, 3, 4, unmix64(seed), (1, 2, 3, 4)).to_json()
 
 
 def test_a_draw_at_the_floor_that_is_not_rejected_takes_the_per_draw_path(monkeypatch):
@@ -280,7 +312,7 @@ def test_probe_refuses_a_negative_trial_count():
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3])
 def test_probe_refuses_a_seed_outside_64_bits(seed):
-    # 2**64 + 3 would otherwise draw the very trials of seed 3.
+    # A wider seed is refused, not truncated to 64 bits.
     with pytest.raises(GraphError, match=r"seed must be in \[0, 2\*\*64\), got "):
         random_probe(mirzakhani(), 3, 2, seed, pool=(1, 2, 3, 4))
 

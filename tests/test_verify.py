@@ -339,6 +339,38 @@ def test_planarity_geometry_does_no_fraction_arithmetic(monkeypatch):
     assert run_claim("planarity", moved) == expected
 
 
+def test_planarity_reads_int_fraction_and_float_coordinates_alike():
+    # Every coordinate is read by as_integer_ratio, which int, Fraction and
+    # float all have; halving M's drawing in each type keeps the certificate.
+    m = mirzakhani()
+    expected = run_claim("planarity", m)
+    assert expected[0]
+    halves = {
+        int: lambda x, y: (2 * x, 2 * y),
+        Fraction: lambda x, y: (Fraction(x, 2), Fraction(y, 2)),
+        float: lambda x, y: (x / 2, y / 2),
+    }
+    for kind, f in halves.items():
+        moved = relaid(m, f)
+        assert {type(c) for p in moved.layout.values() for c in p} == {kind}
+        assert run_claim("planarity", moved) == expected
+    # The halves include non-integers such as 1.5, which the scaling must keep.
+    assert 1.5 in {c for p in relaid(m, halves[float]).layout.values() for c in p}
+
+
+@pytest.mark.parametrize("bad", ["1", float("nan"), float("inf")])
+def test_a_coordinate_that_is_not_an_exact_number_fails_naming_the_vertex(bad):
+    m = mirzakhani()
+    layout = dict(m.layout)
+    layout[corner(1, 1)] = (bad, layout[corner(1, 1)][1])
+    g = Graph(vertices=m.vertices, adj=m.adj, layout=layout)
+    with pytest.raises(GraphError, match=r"^coordinates of corner:1,1 are not exact numbers"):
+        rotation_from_layout(g)
+    ok, cert = run_claim("planarity", g)
+    assert not ok
+    assert cert["error"].startswith("coordinates of corner:1,1 are not exact numbers")
+
+
 def test_planarity_claim_checks_the_rotation_against_the_graph(monkeypatch):
     # An embedder that drops the apex -- corner(1, 1) edge from both ends
     # still gives a genus-0 census (one quadrilateral face); the claim must
