@@ -111,7 +111,7 @@ def _decide_masks(g: Graph, masks: Sequence[int], budget: int) -> tuple[int, int
     """(status, nodes) of the kernel on g from domain masks; every SAT
     witness is replayed against the masks by check_mask_witness."""
     status, witness, nodes, _, _ = engine.solve_colors(
-        g.n, g.int_adj, g.int_order, masks, budget, engine.MODE_DECIDE
+        g.int_adj, g.int_order, masks, budget, engine.MODE_DECIDE
     )
     if status == engine.SAT:
         check_mask_witness(g.int_edges, masks, witness)

@@ -16,14 +16,15 @@ List-coloring search
     propagation counted per removal); domains that collapse to a single
     color are assigned from a FIFO queue (unit propagation).  A search node
     is one color tried at a decision vertex; forced assignments are not
-    nodes.
+    nodes.  Decide mode returns the first proper coloring as its witness;
+    count mode counts every one and passes it to ``on_solution``, if given.
 
     The degree tie-break makes the starting scan order a function of the
     adjacency alone, so it is computed once per graph, not once per call:
     ``branch_order`` defines it, ``Graph.int_order`` keeps it on the graph,
-    and ``solve_colors`` takes it as an argument.  Counting and enumeration
-    scan in that order throughout; decide mode copies it and moves each
-    vertex whose domain is wiped out within its call.
+    and ``solve_colors`` takes it as an argument.  Count mode scans in that
+    order throughout; decide mode copies it and moves each vertex whose
+    domain is wiped out within its call.
 
     Decision mode additionally backjumps on conflicts: every vertex carries
     the set of decision vertices that the colors missing from its domain
@@ -31,8 +32,8 @@ List-coloring search
     vertex at its root, the remaining colors of that vertex are skipped
     (they fail for the same reason).  Backjumping never changes the
     verdict; it changes node counts and, as the wipe-outs it skips no longer
-    reorder the scan, possibly the witness found.  It is disabled for
-    counting and enumeration, which must visit every solution.
+    reorder the scan, possibly the witness found.  It is disabled in count
+    mode, which must visit every solution.
 
     Bookkeeping: ``blame[u]`` is u's conflict set, a bit per decision
     vertex.  A vertex v is assigned with a culprit mask, its own bit for a
@@ -43,17 +44,22 @@ List-coloring search
     a frame's mark newest first, so no state is copied per frame.
 
 Hamiltonian search
-    Depth-first path extension from vertex 0 with three prunes: the
-    unvisited vertices must induce a connected subgraph, every unvisited
-    vertex must retain at least two usable cycle partners (unvisited
-    neighbors, the path endpoint, or vertex 0), and a partner count of
-    exactly two that includes the endpoint forces the next edge (two such
-    forced edges at once is a dead end).  All three are evaluated in one
-    BFS sweep over the unvisited vertices per node, plus a check that
-    vertex 0 keeps an unvisited neighbor to close the cycle through.  The
-    same sweep counts each unvisited vertex's unvisited neighbors, and the
-    extensions of the path are tried fewest first, ties by vertex index
-    (Warnsdorff's rule).  A node is one attempted extension.
+    Depth-first path extension from vertex 0 with two prunes: the unvisited
+    vertices must induce a connected subgraph, and vertex 0 must keep an
+    unvisited neighbor to close the cycle through.  A vertex's cycle
+    partners are its unvisited neighbors, the path's end u and vertex 0; an
+    unvisited vertex with exactly two, u != 0 among them, forces the next
+    edge (two forced edges at once is a dead end).  One BFS sweep over the
+    unvisited vertices per node tests connectivity, applies the forcing rule
+    and counts each one's unvisited neighbors; the extensions are tried
+    fewest first, ties by vertex index (Warnsdorff's rule).  A node is one
+    attempted extension.
+
+    Every unvisited vertex keeps two partners at every node expanded: at the
+    root it has its degree, and a degree below 2 ends the search at once;
+    extending the path from u to x costs w a partner only if w is adjacent
+    to u != 0, and if w had two, forcing made x = w.  And a full path is a
+    cycle: its last vertex was added as vertex 0's last unvisited neighbor.
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ BACKEND_NAME = "python"
 
 UNSAT, SAT, EXHAUSTED = 0, 1, 2
 
-MODE_DECIDE, MODE_COUNT, MODE_ENUM = 0, 1, 2
+MODE_DECIDE, MODE_COUNT = 0, 1
 
 # The most colors a domain may hold.  The minimum-remaining-values scan
 # starts from a sentinel one above it, so a vertex whose domain held more
@@ -81,13 +87,14 @@ def branch_order(adj):
     return tuple(sorted(range(len(adj)), key=degree.__getitem__, reverse=True))
 
 
-def solve_colors(n, adj, order, domains, budget, mode, on_solution=None):
+def solve_colors(adj, order, domains, budget, mode, on_solution=None):
     """Run the list-coloring search on an indexed instance.
 
     adj: sorted neighbor-index sequences, one per vertex; order:
     ``branch_order(adj)``, the scan order among equal domain sizes, which
     decide mode adapts within the call (a vertex moves ahead each time its
-    domain is wiped out); domains: bit masks.
+    domain is wiped out); domains: bit masks; on_solution: called in count
+    mode with each proper coloring, a tuple of one-bit masks.
     Returns (status, witness, nodes, propagations, count) where witness is
     a tuple of one-bit masks, one per vertex (decide mode, SAT only), and
     count is the number of proper colorings seen (exact unless status is
@@ -96,6 +103,7 @@ def solve_colors(n, adj, order, domains, budget, mode, on_solution=None):
     dom = list(domains)
     if 0 in dom:
         return (UNSAT, None, 0, 0, 0)
+    n = len(adj)
     color = [-1] * n
     # blame[u]: the decisions (bit per vertex) behind the colors missing
     # from u's domain, the union of the removers' culprit masks.
@@ -198,7 +206,7 @@ def solve_colors(n, adj, order, domains, budget, mode, on_solution=None):
             count += 1
             if mode == MODE_DECIDE:
                 return (SAT, tuple(color), nodes, props, count)
-            if mode == MODE_ENUM:
+            if on_solution is not None:
                 on_solution(tuple(color))
             returned = True
             continue
@@ -233,7 +241,7 @@ def solve_colors(n, adj, order, domains, budget, mode, on_solution=None):
     return (SAT if count > 0 else UNSAT, None, nodes, props, count)
 
 
-def hamilton_cycle(n, adj, budget):
+def hamilton_cycle(adj, budget):
     """Search for a Hamiltonian cycle through vertex 0.
 
     adj: ascending neighbor-index sequences, one per vertex.  Unless an edge
@@ -243,6 +251,7 @@ def hamilton_cycle(n, adj, budget):
     pruned search space was exhausted without one, EXHAUSTED if the node
     budget ran out.
     """
+    n = len(adj)
     if n < 3:
         return (UNSAT, None, 0)
     adjset = [set(nbrs) for nbrs in adj]
@@ -258,14 +267,14 @@ def hamilton_cycle(n, adj, budget):
         """The extensions of a path ending at u, in order; [] if pruned."""
         if not any(not visited[w] for w in adj[0]):
             return []
-        near_u = adjset[u]
-        near_0 = adjset[0] if u != 0 else ()
+        near_u = adjset[u] if u != 0 else ()
+        near_0 = adjset[0]
         forced = -1
         nforced = 0
         # One BFS over the unvisited vertices from the first of them: it
-        # counts each one's unvisited neighbors and usable partners while
-        # it spreads, and whether it reached them all is the connectivity
-        # prune.
+        # counts each one's unvisited neighbors and applies the forcing rule
+        # while it spreads, and whether it reached them all is the
+        # connectivity prune.
         first = visited.index(False)
         seen = visited[:]
         seen[first] = True
@@ -279,18 +288,13 @@ def hamilton_cycle(n, adj, budget):
                         seen[x] = True
                         queue.append(x)
             free[w] = k
-            # Two unvisited neighbors are already two partners, and a forced
-            # edge needs exactly two partners, one of them u: neither rule
-            # can fire unless k < 2.
-            if k < 2:
-                avail = k + (w in near_u) + (w in near_0)
-                if avail < 2:
+            # w's partners are its k unvisited neighbors, u and 0; a forced
+            # edge needs exactly two, one of them u, so k < 2.
+            if k < 2 and w in near_u and k + (w in near_0) == 1:
+                nforced += 1
+                if nforced >= 2:
                     return []
-                if avail == 2 and u != 0 and w in near_u:
-                    nforced += 1
-                    if nforced >= 2:
-                        return []
-                    forced = w
+                forced = w
         if len(queue) + len(path) != n:
             return []
         if nforced == 1:
@@ -315,9 +319,6 @@ def hamilton_cycle(n, adj, budget):
         visited[w] = True
         path.append(w)
         if len(path) == n:
-            if 0 in adjset[w]:
-                return (SAT, list(path), nodes)
-            stack.append(iter(()))
-        else:
-            stack.append(iter(candidates(w)))
+            return (SAT, path, nodes)
+        stack.append(iter(candidates(w)))
     return (UNSAT, None, nodes)

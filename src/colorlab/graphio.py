@@ -7,7 +7,6 @@ exports of the same object are byte-identical.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Optional
 
 from colorlab.build import ListAssignment, make_lists
@@ -30,12 +29,17 @@ MAX_DIMACS_VERTICES = 10**5
 
 
 def _coord_out(x: Coord):
-    f = Fraction(x)
-    return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    try:
+        num, den = x.as_integer_ratio()
+    except (AttributeError, ValueError, OverflowError):  # a str, nan, inf
+        raise GraphError(f"layout coordinate {x!r} is not an exact number") from None
+    return num if den == 1 else f"{num}/{den}"
 
 
 def _coord_in(x) -> Coord:
     if isinstance(x, str):
+        from fractions import Fraction  # only files with a non-integer point load it
+
         num, _, den = x.partition("/")
         try:
             return Fraction(int(num), int(den or "1"))

@@ -46,15 +46,9 @@ class SolveResult(NamedTuple):
         return self.status == "SAT"
 
     def to_json(self) -> str:
-        payload = {
-            "status": self.status,
-            "witness": None
-            if self.witness is None
-            else {str(v): c for v, c in self.witness.items()},
-            "nodes": self.nodes,
-            "propagations": self.propagations,
-            "budget": self.budget,
-        }
+        payload = self._asdict()
+        if self.witness is not None:
+            payload["witness"] = {str(v): c for v, c in self.witness.items()}
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -103,7 +97,7 @@ def decide(g: Graph, lists: ListAssignment, budget: int = DEFAULT_BUDGET) -> Sol
     """
     order, adj, domains = _indexed(g, lists)
     status, bits, nodes, props, _ = engine.solve_colors(
-        len(order), adj, g.int_order, domains, budget, engine.MODE_DECIDE
+        adj, g.int_order, domains, budget, engine.MODE_DECIDE
     )
     witness = None
     if status == engine.SAT:
@@ -116,27 +110,25 @@ def decide(g: Graph, lists: ListAssignment, budget: int = DEFAULT_BUDGET) -> Sol
 
 def count(g: Graph, lists: ListAssignment, budget: int = DEFAULT_BUDGET) -> CountResult:
     """Exact number of proper list colorings (status EXHAUSTED = lower bound)."""
-    order, adj, domains = _indexed(g, lists)
-    status, _, nodes, props, found = engine.solve_colors(
-        len(order), adj, g.int_order, domains, budget, engine.MODE_COUNT
-    )
-    return CountResult(_STATUS[status], found, nodes, props, budget)
+    return enumerate_colorings(g, lists, None, budget)
 
 
 def enumerate_colorings(
     g: Graph,
     lists: ListAssignment,
-    visitor: Callable[[dict[VertexId, int]], None],
+    visitor: Optional[Callable[[dict[VertexId, int]], None]],
     budget: int = DEFAULT_BUDGET,
 ) -> CountResult:
-    """Call visitor on every proper list coloring, in deterministic order."""
+    """Count the proper list colorings, calling visitor (unless None) on
+    each, in deterministic order (status EXHAUSTED = lower bound)."""
     order, adj, domains = _indexed(g, lists)
-
-    def on_solution(bits):
-        visitor(_decode(order, lists.palette, bits))
-
+    on_solution = (
+        None
+        if visitor is None
+        else lambda bits: visitor(_decode(order, lists.palette, bits))
+    )
     status, _, nodes, props, found = engine.solve_colors(
-        len(order), adj, g.int_order, domains, budget, engine.MODE_ENUM, on_solution
+        adj, g.int_order, domains, budget, engine.MODE_COUNT, on_solution
     )
     return CountResult(_STATUS[status], found, nodes, props, budget)
 

@@ -255,16 +255,16 @@ class HamiltonResult(NamedTuple):
 def hamilton(g: Graph, budget: int = DEFAULT_BUDGET) -> HamiltonResult:
     """Search for a Hamiltonian cycle.
 
-    Pruned depth-first search (connectivity cut-off, unvisited-degree
-    bounds, forced-degree-2 chaining) that extends the path to the
-    neighbor with the fewest unvisited neighbors first, ties in vertex
+    Pruned depth-first search (connectivity cut-off, vertex 0 keeping an
+    unvisited neighbor, forced-degree-2 chaining) that extends the path to
+    the neighbor with the fewest unvisited neighbors first, ties in vertex
     order.  NONE means the pruned space was exhausted: the graph has no
     Hamiltonian cycle.  Every returned cycle should be fed to
     check_hamiltonian_cycle, which shares no code with the search.
     """
     if g.n < 3:
         raise GraphError("Hamiltonian cycles need at least three vertices")
-    status, cycle, nodes = hamilton_cycle(g.n, g.int_adj, budget)
+    status, cycle, nodes = hamilton_cycle(g.int_adj, budget)
     if status == SAT:
         return HamiltonResult(
             "FOUND", tuple(g.vertices[i] for i in cycle), nodes, budget
@@ -304,7 +304,7 @@ def cut_certificate(g: Graph, cut: Iterable[VertexId]) -> CutCertificate:
     return CutCertificate(cut=tuple(s), components_after=len(components(rest)))
 
 
-def _max_matching(n: int, adj: list[list[int]]) -> list[int]:
+def _max_matching(adj: list[list[int]]) -> list[int]:
     """Maximum matching by augmenting paths with blossom contraction.
 
     Classic O(V^3) formulation: repeated alternating-tree searches from
@@ -312,6 +312,7 @@ def _max_matching(n: int, adj: list[list[int]]) -> list[int]:
     the blossom onto the cycle's least common ancestor.  Deterministic for
     a fixed adjacency order.
     """
+    n = len(adj)
     match = [-1] * n
     parent = [-1] * n
     base = list(range(n))
@@ -408,7 +409,7 @@ def perfect_matching(g: Graph) -> MatchingResult:
     if g.n == 0:
         return MatchingResult(())
     order = g.vertices
-    match = _max_matching(g.n, g.int_adj)
+    match = _max_matching(g.int_adj)
     exposed = [order[i] for i in range(g.n) if match[i] == -1]
     if exposed:
         size = (g.n - len(exposed)) // 2
@@ -625,17 +626,15 @@ def _cut_vertex(g: Graph) -> Optional[VertexId]:
 
 def _cut(g, lists, budget):
     # The construction's cut (the degree-7 vertices of the apex-deleted
-    # graph), then the first single vertex that splits it: the first cut
-    # that certifies is reported, and when none does, the construction's
-    # cut as it stands (an empty one raises).
+    # graph) if it certifies; else the first single vertex that splits the
+    # graph, which always certifies; else the construction's cut as it
+    # stands (an empty one raises).
     rest = _apex_deleted(g)
-    single = _cut_vertex(rest)
-    cuts = [[v for v in rest.vertices if rest.degree(v) == 7]]
-    cuts += [[single]] if single is not None else []
-    certs = (cut_certificate(rest, cut) for cut in cuts if cut)
-    cert = next((c for c in certs if c.non_hamiltonian), None)
-    if cert is None:
-        cert = cut_certificate(rest, cuts[0])
+    cut = [v for v in rest.vertices if rest.degree(v) == 7]
+    cert = cut_certificate(rest, cut) if cut else None
+    if cert is None or not cert.non_hamiltonian:
+        single = _cut_vertex(rest)
+        cert = cut_certificate(rest, cut if single is None else [single])
     return cert.non_hamiltonian, {
         "cut_size": len(cert.cut),
         "cut": [str(v) for v in cert.cut],

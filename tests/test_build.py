@@ -122,6 +122,11 @@ def test_section_cells_partition_m():
     assert len(seen) == 20
 
 
+def test_section_cells_refuses_an_index_outside_1_to_4():
+    with pytest.raises(GraphError, match="section index must be 1..4, got 0"):
+        section_cells(0)
+
+
 def test_section_gadget_isomorphic_to_gadget():
     m = mirzakhani()
     base, base_outer = gadget()
@@ -134,6 +139,12 @@ def test_section_gadget_isomorphic_to_gadget():
         assert {gmap[v] for v in base.vertices} == set(sub.vertices)
         for u, v in base.edges():
             assert sub.has_edge(gmap[u], gmap[v])
+
+
+def test_section_gadget_names_a_vertex_the_graph_lacks():
+    m = delete_vertices(mirzakhani(), [hub(0, 0)])
+    with pytest.raises(GraphError, match="unknown vertex hub:0,0"):
+        section_gadget(m, 1)
 
 
 def test_wheel_lists_are_the_forcing_wheel():

@@ -51,6 +51,11 @@ def test_duplicate_edges_collapse():
     assert g.m == 1
 
 
+def test_plain_refuses_a_negative_index():
+    with pytest.raises(GraphError, match="plain vertex index must be nonnegative, got -1"):
+        plain(-1)
+
+
 def test_loop_rejected():
     with pytest.raises(GraphError, match="loop"):
         make_graph([plain(0)], [(plain(0), plain(0))])

@@ -30,6 +30,43 @@ def test_graph_json_round_trip():
     assert h.layout[plain(2)][0] == Fraction(1, 2)
 
 
+def every_exact_kind():
+    """Coordinates that are ints, Fractions and exactly representable floats."""
+    vs = [plain(i) for i in range(3)]
+    return make_graph(
+        vs,
+        [(vs[0], vs[1]), (vs[1], vs[2])],
+        layout={vs[0]: (0, -3.0), vs[1]: (Fraction(1, 2), Fraction(-7, 4)), vs[2]: (0.5, 2.25)},
+    )
+
+
+def test_every_exact_coordinate_kind_is_written_as_an_int_or_a_ratio():
+    g = every_exact_kind()
+    expected = {
+        "vertices": ["plain:0", "plain:1", "plain:2"],
+        "edges": [["plain:0", "plain:1"], ["plain:1", "plain:2"]],
+        "layout": {"plain:0": [0, -3], "plain:1": ["1/2", "-7/4"], "plain:2": ["1/2", "9/4"]},
+    }
+    assert graphio.graph_to_json(g) == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    assert graphio.graph_to_dot(g) == (
+        "graph G {\n"
+        '  "plain:0" [pos="0,-3!"];\n'
+        '  "plain:1" [pos="1/2,-7/4!"];\n'
+        '  "plain:2" [pos="1/2,9/4!"];\n'
+        '  "plain:0" -- "plain:1";\n'
+        '  "plain:1" -- "plain:2";\n'
+        "}\n"
+    )
+
+
+@pytest.mark.parametrize("coord", ["1/2", float("nan"), float("inf"), None])
+def test_writers_refuse_a_coordinate_that_is_not_an_exact_number(coord):
+    g = make_graph([plain(0)], [], layout={plain(0): (coord, 0)})
+    for writer in (graphio.graph_to_json, graphio.graph_to_dot):
+        with pytest.raises(GraphError, match=f"layout coordinate {coord!r} is not an exact"):
+            writer(g)
+
+
 def test_graph_json_round_trip_mirzakhani():
     m = mirzakhani()
     h = graphio.graph_from_json(graphio.graph_to_json(m))

@@ -72,6 +72,16 @@ def test_the_probe_command_leaves_verify_and_proof_out(tmp_path):
     assert not loaded & {"colorlab.verify", "colorlab.proof"}
 
 
+def test_the_probe_command_on_integer_coordinates_leaves_fractions_out(tmp_path):
+    graph = tmp_path / "m.json"
+    graph.write_text(graphio.graph_to_json(mirzakhani()))
+    loaded = after_command(
+        "choosability", "--graph", str(graph), "--probe", "--k", "3", "--trials", "5"
+    )
+    assert "colorlab.graphio" in loaded
+    assert "fractions" not in loaded
+
+
 # ------------------------------------------------------- the lazy namespace
 
 

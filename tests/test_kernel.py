@@ -28,7 +28,6 @@ from colorlab.engine import (
     EXHAUSTED,
     MODE_COUNT,
     MODE_DECIDE,
-    MODE_ENUM,
     SAT,
     UNSAT,
     branch_order,
@@ -103,13 +102,17 @@ def larger_decide(seed):
     return n, adj, domains
 
 
+# Count mode with an on_solution callback: run() returns the solutions too.
+ENUM = 2
+
+
 def run(n, adj, domains, budget, mode):
     """One kernel call; in enum mode the solutions are part of the output."""
     order = branch_order(adj)
-    if mode != MODE_ENUM:
-        return solve_colors(n, adj, order, domains, budget, mode)
+    if mode != ENUM:
+        return solve_colors(adj, order, domains, budget, mode)
     sols = []
-    return solve_colors(n, adj, order, domains, budget, mode, sols.append), sols
+    return solve_colors(adj, order, domains, budget, MODE_COUNT, sols.append), sols
 
 
 def m_indexed():
@@ -123,7 +126,7 @@ def test_random_instances_all_modes_and_budgets():
     outputs = []
     for seed in range(150):
         n, adj, domains = random_indexed(seed)
-        for mode in (MODE_DECIDE, MODE_COUNT, MODE_ENUM):
+        for mode in (MODE_DECIDE, MODE_COUNT, ENUM):
             for budget in (10**5, 3, 17):
                 outputs.append(run(n, adj, domains, budget, mode))
     statuses = {out[0] if len(out) == 5 else out[0][0] for out in outputs}
@@ -136,7 +139,7 @@ def answers(n, adj, domains, mode):
     in: the status, the solution count, the enumerated solutions sorted, and
     for a decide-mode SAT only that its witness replays."""
     out = run(n, adj, domains, 10**5, mode)
-    if mode == MODE_ENUM:
+    if mode == ENUM:
         (status, _, _, _, count), sols = out
         return status, count, sorted(sols)
     status, witness, _, _, count = out
@@ -154,7 +157,7 @@ def test_random_instances_answers():
     outputs = []
     for seed in range(150):
         n, adj, domains = random_indexed(seed)
-        for mode in (MODE_DECIDE, MODE_COUNT, MODE_ENUM):
+        for mode in (MODE_DECIDE, MODE_COUNT, ENUM):
             outputs.append(answers(n, adj, domains, mode))
     assert {out[0] for out in outputs} == {UNSAT, SAT}
     assert digest(outputs) == RANDOM_ANSWERS_DIGEST
@@ -189,18 +192,18 @@ def test_branching_order(adj, domains, first, bit):
     # nothing forces its vertex before it, so the witness shows which
     # vertex branched.
     status, witness, _, _, _ = solve_colors(
-        len(adj), adj, branch_order(adj), domains, 10**5, MODE_DECIDE
+        adj, branch_order(adj), domains, 10**5, MODE_DECIDE
     )
     assert status == SAT
     assert witness[first] == bit
 
 
-@pytest.mark.parametrize("mode", [MODE_COUNT, MODE_ENUM])
+@pytest.mark.parametrize("mode", [MODE_COUNT, ENUM])
 def test_counting_keeps_the_degree_order(mode):
     # Counting and enumeration visit every solution in branch_order, and a
     # wipe-out does not reorder them.
     out = run(5, WIPE_ADJ, WIPE_DOMAINS, 10**5, mode)
-    if mode == MODE_ENUM:
+    if mode == ENUM:
         out, sols = out
         assert sols == [(0b100, 0b01, 0b10, 0b100, 0b10), (0b100, 0b10, 0b01, 0b100, 0b10)]
     assert out == (SAT, None, 4, 5, 2)
@@ -232,7 +235,7 @@ def test_larger_decide_work():
 def test_theorem_instance_at_small_budgets():
     order, adj, domains = _indexed(mirzakhani(), canonical_lists())
     outputs = [
-        solve_colors(len(order), adj, branch_order(adj), domains, budget, MODE_DECIDE)
+        solve_colors(adj, branch_order(adj), domains, budget, MODE_DECIDE)
         for budget in (1, 2, 7, 50, 509)
     ]
     assert [out[0] for out in outputs] == [EXHAUSTED] * 5
@@ -241,14 +244,14 @@ def test_theorem_instance_at_small_budgets():
 
 def test_theorem_instance_work_counts():
     order, adj, domains = _indexed(mirzakhani(), canonical_lists())
-    out = solve_colors(len(order), adj, branch_order(adj), domains, 10**7, MODE_DECIDE)
+    out = solve_colors(adj, branch_order(adj), domains, 10**7, MODE_DECIDE)
     assert out == (UNSAT, None, 711, 2724, 0)
 
 
 def test_wheel_all_modes():
     order, adj, domains = _indexed(wheel4(), wheel_lists())
     outputs = [run(len(order), adj, domains, 10**6, mode)
-               for mode in (MODE_DECIDE, MODE_COUNT, MODE_ENUM)]
+               for mode in (MODE_DECIDE, MODE_COUNT, ENUM)]
     assert digest(outputs) == WHEEL_DIGEST
 
 
@@ -256,7 +259,7 @@ def test_gadget_count():
     g, _ = gadget()
     order, adj, domains = _indexed(g, canonical_lists().restrict(g.vertices))
     status, _, nodes, props, found = solve_colors(
-        len(order), adj, branch_order(adj), domains, 10**7, MODE_COUNT
+        adj, branch_order(adj), domains, 10**7, MODE_COUNT
     )
     assert (status, found) == (SAT, 2512436)
     assert nodes == 4144635
@@ -267,7 +270,7 @@ def test_random_hamilton_graphs():
     for seed in range(80):
         n, adj = random_hamilton(seed)
         for budget in (10**6, 5):
-            outputs.append(hamilton_cycle(n, adj, budget))
+            outputs.append(hamilton_cycle(adj, budget))
     assert {out[0] for out in outputs} == {0, 1, 2}
     assert digest(outputs) == HAMILTON_DIGEST
 
@@ -277,14 +280,14 @@ def test_larger_hamilton_graphs():
     for seed in range(200):
         n, adj = larger_hamilton(seed)
         for budget in (10**6, 40):
-            outputs.append(hamilton_cycle(n, adj, budget))
+            outputs.append(hamilton_cycle(adj, budget))
     assert {out[0] for out in outputs} == {0, 1, 2}
     assert digest(outputs) == LARGER_HAMILTON_DIGEST
 
 
 def test_hamilton_on_m():
     n, adj = m_indexed()
-    status, cycle, nodes = hamilton_cycle(n, adj, 10**8)
+    status, cycle, nodes = hamilton_cycle(adj, 10**8)
     assert (status, nodes) == (1, 62)
     assert sorted(cycle) == list(range(n)) and cycle[0] == 0
     assert digest(cycle) == M_CYCLE_DIGEST
@@ -298,9 +301,121 @@ def test_hamilton_connectivity_prune():
     pairs = [(0, 1), (1, 2), (1, 5), (0, 4), (0, 7)]
     pairs += [(2, 3), (3, 4), (2, 4), (5, 6), (6, 7), (5, 7)]
     g = make_graph(vs, [(vs[a], vs[b]) for a, b in pairs])
-    status, cycle, nodes = hamilton_cycle(g.n, g.int_adj, 10**6)
+    status, cycle, nodes = hamilton_cycle(g.int_adj, 10**6)
     assert (status, cycle, nodes) == (SAT, [0, 4, 3, 2, 1, 5, 6, 7], 8)
     assert check_hamiltonian_cycle(g, [vs[i] for i in cycle]) == []
+
+
+def old_hamilton_cycle(n, adj, budget):
+    """Reference Hamilton search: the kernel as it was with an explicit n,
+    the partner-count prune (an unvisited vertex with fewer than two
+    partners) and a closing-edge test on every full path."""
+    if n < 3:
+        return (UNSAT, None, 0)
+    adjset = [set(nbrs) for nbrs in adj]
+    if any(len(nbrs) < 2 for nbrs in adj):
+        return (UNSAT, None, 0)
+    visited = [False] * n
+    visited[0] = True
+    path = [0]
+    # free[w]: the unvisited neighbors of w, as counted by the latest sweep.
+    free = [0] * n
+
+    def candidates(u: int) -> list[int]:
+        """The extensions of a path ending at u, in order; [] if pruned."""
+        if not any(not visited[w] for w in adj[0]):
+            return []
+        near_u = adjset[u]
+        near_0 = adjset[0] if u != 0 else ()
+        forced = -1
+        nforced = 0
+        # One BFS over the unvisited vertices from the first of them: it
+        # counts each one's unvisited neighbors and usable partners while
+        # it spreads, and whether it reached them all is the connectivity
+        # prune.
+        first = visited.index(False)
+        seen = visited[:]
+        seen[first] = True
+        queue = [first]
+        for w in queue:
+            k = 0
+            for x in adj[w]:
+                if not visited[x]:
+                    k += 1
+                    if not seen[x]:
+                        seen[x] = True
+                        queue.append(x)
+            free[w] = k
+            # Two unvisited neighbors are already two partners, and a forced
+            # edge needs exactly two partners, one of them u: neither rule
+            # can fire unless k < 2.
+            if k < 2:
+                avail = k + (w in near_u) + (w in near_0)
+                if avail < 2:
+                    return []
+                if avail == 2 and u != 0 and w in near_u:
+                    nforced += 1
+                    if nforced >= 2:
+                        return []
+                    forced = w
+        if len(queue) + len(path) != n:
+            return []
+        if nforced == 1:
+            return [forced]
+        # Most constrained first; the sort is stable, so ties keep the
+        # ascending order of adj[u].
+        return sorted((w for w in adj[u] if not visited[w]), key=free.__getitem__)
+
+    nodes = 0
+    # One iterator per path vertex over the extensions still to try from it.
+    stack = [iter(candidates(0))]
+    while stack:
+        w = next(stack[-1], -1)
+        if w < 0:
+            stack.pop()
+            if stack:
+                visited[path.pop()] = False
+            continue
+        if nodes >= budget:
+            return (EXHAUSTED, None, nodes)
+        nodes += 1
+        visited[w] = True
+        path.append(w)
+        if len(path) == n:
+            if 0 in adjset[w]:
+                return (SAT, list(path), nodes)
+            stack.append(iter(()))
+        else:
+            stack.append(iter(candidates(w)))
+    return (UNSAT, None, nodes)
+
+
+def differential_hamilton(seed):
+    """3 to 24 vertices at 8% to 89% edge density."""
+    rng = SplitMix64(seed)
+    n = 3 + rng.below(22)
+    density = 8 + rng.below(82)
+    adj = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.below(100) < density:
+                adj[i].append(j)
+                adj[j].append(i)
+    return n, adj
+
+
+def test_hamilton_matches_the_kernel_with_its_dead_branches():
+    # Neither branch the kernel dropped can change an output: every
+    # unvisited vertex keeps two partners, and the last vertex of a full
+    # path is adjacent to 0 (engine's module docstring has the proofs).
+    statuses = set()
+    for seed in range(3000):
+        n, adj = differential_hamilton(seed)
+        for budget in (20000, 7):
+            out = hamilton_cycle(adj, budget)
+            assert out == old_hamilton_cycle(n, adj, budget), (seed, budget)
+            statuses.add(out[0])
+    assert statuses == {UNSAT, SAT, EXHAUSTED}
 
 
 # ------------------------------------------- searches deeper than the C stack

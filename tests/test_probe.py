@@ -133,7 +133,7 @@ def test_probe_kernel_work_on_m_is_pinned():
         rng = SplitMix64(t)
         masks = [sum(1 << i for i in rng.sample(range(4), 3)) for _ in range(g.n)]
         status, _, dn, dp, _ = engine.solve_colors(
-            g.n, g.int_adj, g.int_order, masks, DEFAULT_BUDGET, engine.MODE_DECIDE
+            g.int_adj, g.int_order, masks, DEFAULT_BUDGET, engine.MODE_DECIDE
         )
         nodes, props, sat = nodes + dn, props + dp, sat + (status == engine.SAT)
     assert (nodes, props, sat) == (22360, 257844, 649)
@@ -409,10 +409,10 @@ BAD_WITNESS_ROUTES = {
 def test_raises_on_a_bad_kernel_witness(route, monkeypatch):
     real = choose.engine.solve_colors
 
-    def colors_everything_alike(n, adj, order, domains, budget, mode):
-        status, bits, *rest = real(n, adj, order, domains, budget, mode)
+    def colors_everything_alike(adj, order, domains, budget, mode):
+        status, bits, *rest = real(adj, order, domains, budget, mode)
         if bits is not None:
-            bits = (bits[0],) * n
+            bits = (bits[0],) * len(adj)
         return (status, bits, *rest)
 
     monkeypatch.setattr(choose.engine, "solve_colors", colors_everything_alike)

@@ -216,6 +216,12 @@ def test_apex_deleted_census():
     assert census.face_lengths() == {3: 80, 42: 1}
 
 
+def test_face_tracing_refuses_a_rotation_that_repeats_a_neighbor():
+    v0, v1, v2 = (plain(i) for i in range(3))
+    with pytest.raises(GraphError, match=r"face tracing revisited directed edge"):
+        face_census({v0: (v1, v2, v1), v1: (v0,), v2: (v0,)})
+
+
 # ------------------------------------------------------------ outer walk
 
 
@@ -232,6 +238,23 @@ def test_outer_walk_of_apex_deleted_graph():
     assert len(walk) == 42
     assert all(v.kind == "corner" for v in walk)
     assert len(set(walk)) == 42
+
+
+def test_outer_walk_needs_a_layout():
+    g = cycle(4)
+    with pytest.raises(GraphError, match="outer_walk needs a layout"):
+        outer_walk(g, {v: g.adj[v] for v in g.vertices})
+
+
+def test_outer_walk_of_a_bowtie_is_not_simple():
+    # Triangles 0-1-2 and 2-3-4 meet at vertex 2, which the outer face
+    # passes twice.
+    vs = [plain(i) for i in range(5)]
+    pairs = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]
+    at = [(0, 0), (0, 2), (2, 1), (4, 0), (4, 2)]
+    g = make_graph(vs, [(vs[a], vs[b]) for a, b in pairs], dict(zip(vs, at)))
+    with pytest.raises(GraphError, match="outer walk is not simple: plain:2 repeats"):
+        outer_walk(g)
 
 
 # ------------------------------------------------------------ apex embed
@@ -571,6 +594,15 @@ def test_cut_claim_recounts_at_most_one_single_vertex(monkeypatch):
     assert len(calls) <= 2
 
 
+def test_the_cut_claim_on_m_runs_no_single_vertex_search(monkeypatch):
+    # The construction's cut certifies M, so nothing else is searched.
+    def refuse(g):
+        raise AssertionError("searched for a single cut vertex")
+
+    monkeypatch.setattr(verify, "_cut_vertex", refuse)
+    assert hashlib.sha256(audit().to_json().encode()).hexdigest() == AUDIT_SHA256
+
+
 # -------------------------------------------------------------- matching
 
 
@@ -645,7 +677,7 @@ def test_blossom_matches_brute_force_on_random_graphs():
         for i, j in edges:
             adj[i].append(j)
             adj[j].append(i)
-        match = _max_matching(n, adj)
+        match = _max_matching(adj)
         size = sum(1 for i, j in enumerate(match) if j != -1) // 2
         assert size == brute_max_matching(n, edges), f"seed {seed}"
 
