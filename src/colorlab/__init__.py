@@ -39,7 +39,7 @@ _HOMES = {
         "make_graph",
         "plain",
     ),
-    "proof": ("forcing_families", "gadget_lemma", "theorem_replay", "wheel_forcing"),
+    "proof": ("forcing_families", "theorem_replay", "wheel_forcing"),
     "solve": (
         "BudgetExhausted",
         "chromatic_number",
@@ -54,6 +54,7 @@ _HOMES = {
         "audit",
         "cut_certificate",
         "face_census",
+        "gadget_lemma",
         "hamilton",
         "outer_walk",
         "perfect_matching",

@@ -5,8 +5,8 @@ a plain integer id for generic graphs.  A vertex id is the tuple
 (rank, coords), rank 0 apex, 1 hub, 2 corner, 3 plain, so tuple comparison
 is the fixed total order (apex < hub < corner < plain, coordinates
 lexicographic) that makes every derived sequence deterministic.  Ids hold
-only integers, so their order and their hash do not depend on the hash
-seed.
+only integers, so their order and hash do not depend on the hash seed.
+A layout is checked once, when its ``Graph`` is made; readers trust it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import (
 if TYPE_CHECKING:
     from fractions import Fraction
 
-Coord = Union[int, "Fraction"]
+Coord = Union[int, "Fraction", float]  # exact: never a bool, nan or inf
 
 _KINDS = ("apex", "hub", "corner", "plain")
 
@@ -130,7 +130,8 @@ class Graph(FrozenFields):
     """Immutable simple graph.
 
     ``vertices`` is sorted by the vertex total order and every adjacency
-    tuple is sorted the same way; the fields are read-only.  Equality
+    tuple is sorted the same way; the fields are read-only.  ``layout`` gives
+    each vertex one pair of ``Coord``s, checked and copied here.  Equality
     compares the three fields, never the cached integer forms below.
     """
 
@@ -145,6 +146,17 @@ class Graph(FrozenFields):
         adj: Mapping[VertexId, tuple[VertexId, ...]],
         layout: Optional[Mapping[VertexId, tuple[Coord, Coord]]] = None,
     ) -> None:
+        if layout is not None:
+            for v in vertices:
+                p = layout.get(v)
+                if p is None:
+                    raise GraphError(f"layout missing coordinates for {v}")
+                if type(p) is not tuple or len(p) != 2 or not (_exact(p[0]) and _exact(p[1])):
+                    raise GraphError(f"coordinates of {v} are not two exact numbers: {p!r}")
+            stray = sorted(map(str, layout.keys() - set(vertices)))
+            if stray:
+                raise GraphError(f"layout has coordinates for {stray[0]}, not a vertex")
+            layout = dict(layout)
         self.__dict__.update(vertices=vertices, adj=adj, layout=layout)
 
     @property
@@ -198,6 +210,16 @@ class Graph(FrozenFields):
         return tuple((pos[u], pos[v]) for u, v in self.edges())
 
 
+def _exact(c: object) -> bool:
+    if type(c) is int:
+        return True
+    try:
+        c.as_integer_ratio()  # type: ignore[attr-defined]
+    except (AttributeError, ValueError, OverflowError):  # a str or None, nan, inf
+        return False
+    return type(c) is not bool
+
+
 def make_graph(
     vertices: Iterable[VertexId],
     edges: Iterable[tuple[VertexId, VertexId]],
@@ -215,13 +237,7 @@ def make_graph(
         nbrs[u].add(v)
         nbrs[v].add(u)
     adj = {v: tuple(sorted(nbrs[v])) for v in vs}
-    lay = None
-    if layout is not None:
-        missing = [v for v in vs if v not in layout]
-        if missing:
-            raise GraphError(f"layout missing coordinates for {missing[0]}")
-        lay = {v: (layout[v][0], layout[v][1]) for v in vs}
-    return Graph(vertices=tuple(vs), adj=adj, layout=lay)
+    return Graph(vertices=tuple(vs), adj=adj, layout=layout)
 
 
 def delete_vertices(g: Graph, remove: Iterable[VertexId]) -> Graph:
@@ -232,9 +248,7 @@ def delete_vertices(g: Graph, remove: Iterable[VertexId]) -> Graph:
         raise GraphError(f"cannot delete unknown vertex {sorted(unknown)[0]}")
     keep = [v for v in g.vertices if v not in s]
     adj = {v: tuple(u for u in g.adj[v] if u not in s) for v in keep}
-    lay = None
-    if g.layout is not None:
-        lay = {v: g.layout[v] for v in keep}
+    lay = None if g.layout is None else {v: g.layout[v] for v in keep}
     return Graph(vertices=tuple(keep), adj=adj, layout=lay)
 
 

@@ -29,10 +29,7 @@ MAX_DIMACS_VERTICES = 10**5
 
 
 def _coord_out(x: Coord):
-    try:
-        num, den = x.as_integer_ratio()
-    except (AttributeError, ValueError, OverflowError):  # a str, nan, inf
-        raise GraphError(f"layout coordinate {x!r} is not an exact number") from None
+    num, den = x.as_integer_ratio()
     return num if den == 1 else f"{num}/{den}"
 
 
@@ -199,9 +196,8 @@ def graph_to_dot(g: Graph) -> str:
     out = ["graph G {"]
     for v in g.vertices:
         attrs = ""
-        if g.layout and v in g.layout:
-            x, y = g.layout[v]
-            attrs = f' [pos="{_coord_out(x)},{_coord_out(y)}!"]'
+        if g.layout:
+            attrs = ' [pos="{},{}!"]'.format(*map(_coord_out, g.layout[v]))
         out.append(f'  "{v}"{attrs};')
     for u, v in g.edges():
         out.append(f'  "{u}" -- "{v}";')

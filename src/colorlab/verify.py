@@ -89,24 +89,13 @@ def validate_rotation(g: Graph, rot: RotationSystem) -> None:
 
 
 def _exact_layout(g: Graph) -> dict[VertexId, tuple[int, int]]:
-    """The layout as integer pairs, converted once per call.
-
-    Each coordinate is read once as an exact ratio of integers by
-    ``as_integer_ratio`` (int, ``Fraction`` and float all have it) and
-    multiplied by the least common multiple of all denominators.  A uniform
-    positive scaling keeps every angle, every collinear tie and every area
-    sign, so the geometry below runs on integers alone.
-    """
-    exact = []
-    for v, xy in g.layout.items():
-        try:
-            exact.append((v, *(c.as_integer_ratio() for c in xy)))
-        except (AttributeError, ValueError, OverflowError):  # a str, nan, inf
-            raise GraphError(f"coordinates of {v} are not exact numbers: {xy!r}") from None
+    """The layout as integer pairs: each coordinate's exact ratio (``Graph``
+    has checked that it has one) times the lcm of all denominators.  A
+    uniform positive scaling keeps every angle, every collinear tie and
+    every area sign, so the geometry below runs on integers alone."""
+    exact = [(v, *(c.as_integer_ratio() for c in xy)) for v, xy in g.layout.items()]
     scale = math.lcm(*(den for _, x, y in exact for _, den in (x, y)))
-    return {
-        v: (xn * (scale // xd), yn * (scale // yd)) for v, (xn, xd), (yn, yd) in exact
-    }
+    return {v: (xn * (scale // xd), yn * (scale // yd)) for v, (xn, xd), (yn, yd) in exact}
 
 
 def rotation_from_layout(g: Graph) -> RotationSystem:

@@ -20,7 +20,14 @@ from colorlab.graph import (
     parse_vertex,
     plain,
 )
-from colorlab.graphio import graph_from_dimacs, graph_to_dimacs
+from colorlab.graphio import (
+    graph_from_dimacs,
+    graph_from_json,
+    graph_to_dimacs,
+    graph_to_dot,
+    graph_to_json,
+)
+from colorlab.verify import rotation_from_layout
 
 
 def path(n):
@@ -126,6 +133,61 @@ def test_delete_drops_layout():
     g = make_graph([a, b], [(a, b)], layout={a: (0, 0), b: (1, 0)})
     h = delete_vertices(g, [a])
     assert set(h.layout) == {b}
+
+
+# ------------------------------------------------------------ the layout rule
+
+
+@pytest.mark.parametrize(
+    "point", [5, (1,), (1, 2, 3), [0, 0], (True, 0), (0, False), ("1", 0), (0, 1j)], ids=repr
+)
+def test_a_point_that_is_not_two_exact_numbers_is_refused_when_the_graph_is_made(point):
+    a = plain(0)
+    message = r"^coordinates of plain:0 are not two exact numbers"
+    with pytest.raises(GraphError, match=message):
+        make_graph([a], [], layout={a: point})
+    with pytest.raises(GraphError, match=message):
+        Graph((a,), {a: ()}, {a: point})
+
+
+def test_a_layout_gives_exactly_the_vertices_a_point():
+    m = mirzakhani()
+    short = {v: p for v, p in m.layout.items() if v != apex()}
+    with pytest.raises(GraphError, match=r"^layout missing coordinates for apex$"):
+        Graph(m.vertices, m.adj, short)
+    extra = {**m.layout, hub(99, 0): (0, 0)}
+    with pytest.raises(GraphError, match=r"^layout has coordinates for hub:99,0, not a vertex$"):
+        Graph(m.vertices, m.adj, extra)
+    with pytest.raises(GraphError, match=r"^layout has coordinates for hub:99,0, not a vertex$"):
+        make_graph(m.vertices, m.edges(), extra)
+
+
+def test_a_graph_keeps_its_own_copy_of_the_layout():
+    a = plain(0)
+    layout = {a: (0, 0)}
+    g = Graph((a,), {a: ()}, layout)
+    layout[a] = ("x", None)
+    assert g.layout == {a: (0, 0)}
+
+
+JUNK = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.fractions()
+    | st.decimals() | st.text(max_size=3) | st.complex_numbers()
+)
+
+
+@given(JUNK | st.lists(JUNK, max_size=3).map(tuple))
+def test_a_point_is_refused_or_serves_every_reader(point):
+    # Either the graph is refused with a GraphError, or the writers and the
+    # planar geometry take its layout without another check.
+    a, b = plain(0), plain(1)
+    try:
+        g = make_graph([a, b], [(a, b)], {a: point, b: (7, 7)})
+    except GraphError:
+        return
+    graph_from_json(graph_to_json(g))
+    graph_to_dot(g)
+    rotation_from_layout(g)
 
 
 def test_components_partition():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colorlab import graphio
-from colorlab.build import canonical_lists, mirzakhani, uniform_lists
-from colorlab.graph import GraphError, make_graph, plain
+from colorlab.build import canonical_lists, mirzakhani, section_gadget, uniform_lists
+from colorlab.graph import Graph, GraphError, apex, delete_vertices, make_graph, plain
 from colorlab.solve import to_cnf
 
 
@@ -61,10 +61,41 @@ def test_every_exact_coordinate_kind_is_written_as_an_int_or_a_ratio():
 
 @pytest.mark.parametrize("coord", ["1/2", float("nan"), float("inf"), None])
 def test_writers_refuse_a_coordinate_that_is_not_an_exact_number(coord):
-    g = make_graph([plain(0)], [], layout={plain(0): (coord, 0)})
-    for writer in (graphio.graph_to_json, graphio.graph_to_dot):
-        with pytest.raises(GraphError, match=f"layout coordinate {coord!r} is not an exact"):
-            writer(g)
+    # The graph is refused where it is made, so no writer ever sees the point.
+    a = plain(0)
+    message = rf"^coordinates of plain:0 are not two exact numbers: \({coord!r}, 0\)$"
+    with pytest.raises(GraphError, match=message):
+        make_graph([a], [], layout={a: (coord, 0)})
+    with pytest.raises(GraphError, match=message):
+        Graph((a,), {a: ()}, {a: (coord, 0)})
+
+
+def halves(g, kind):
+    """g drawn at half scale, every coordinate of type `kind`."""
+    lay = {v: (kind(x) / 2, kind(y) / 2) for v, (x, y) in g.layout.items()}
+    return Graph(g.vertices, g.adj, lay)
+
+
+def every_drawn_graph():
+    m = mirzakhani()
+    return {
+        "M": m,
+        "M in Fraction halves": halves(m, Fraction),
+        "M in float halves": halves(m, float),
+        "M minus its apex": delete_vertices(m, [apex()]),
+        "section 2 of M": section_gadget(m, 2)[0],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(every_drawn_graph()))
+def test_every_drawn_graph_survives_the_round_trip_and_the_dot_writer(name):
+    g = every_drawn_graph()[name]
+    back = graphio.graph_from_json(graphio.graph_to_json(g))
+    assert back == g and back.layout == g.layout
+    dot = graphio.graph_to_dot(g)
+    assert sum(line.endswith('!"];') for line in dot.splitlines()) == g.n
+    for v in g.vertices:
+        assert f'  "{v}" [pos="' in dot
 
 
 def test_graph_json_round_trip_mirzakhani():

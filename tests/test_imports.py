@@ -7,6 +7,7 @@ everything.
 """
 
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -45,6 +46,12 @@ def after_command(*argv):
         "    assert main(sys.argv[1:]) == 0"
     )
     return loaded_after(code, *argv)
+
+
+def test_the_gadget_lemma_loads_verify_and_leaves_proof_out():
+    loaded = loaded_after("import colorlab\ncolorlab.gadget_lemma")
+    assert "colorlab.verify" in loaded
+    assert "colorlab.proof" not in loaded
 
 
 def test_importing_colorlab_loads_no_submodule():
@@ -90,6 +97,13 @@ def test_every_export_is_its_home_module_object():
         if name != "__version__":
             home = importlib.import_module(f"colorlab.{colorlab._EXPORTS[name]}")
             assert getattr(colorlab, name) is getattr(home, name), name
+
+
+def test_every_exported_function_or_class_is_defined_in_its_home_module():
+    for name, home in colorlab._EXPORTS.items():
+        value = getattr(colorlab, name)
+        if inspect.isfunction(value) or inspect.isclass(value):
+            assert value.__module__ == f"colorlab.{home}", name
 
 
 def test_star_import_binds_every_export():

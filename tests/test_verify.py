@@ -386,12 +386,12 @@ def test_a_coordinate_that_is_not_an_exact_number_fails_naming_the_vertex(bad):
     m = mirzakhani()
     layout = dict(m.layout)
     layout[corner(1, 1)] = (bad, layout[corner(1, 1)][1])
-    g = Graph(vertices=m.vertices, adj=m.adj, layout=layout)
-    with pytest.raises(GraphError, match=r"^coordinates of corner:1,1 are not exact numbers"):
-        rotation_from_layout(g)
-    ok, cert = run_claim("planarity", g)
-    assert not ok
-    assert cert["error"].startswith("coordinates of corner:1,1 are not exact numbers")
+    # Refused where the graph is made: the planar geometry never sees it.
+    message = r"^coordinates of corner:1,1 are not two exact numbers"
+    with pytest.raises(GraphError, match=message):
+        Graph(vertices=m.vertices, adj=m.adj, layout=layout)
+    with pytest.raises(GraphError, match=message):
+        make_graph(m.vertices, m.edges(), layout)
 
 
 def test_planarity_claim_checks_the_rotation_against_the_graph(monkeypatch):
