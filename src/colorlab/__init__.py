@@ -45,7 +45,6 @@ _HOMES = {
         "chromatic_number",
         "count",
         "decide",
-        "enumerate_colorings",
         "to_cnf",
         "verify_coloring",
     ),

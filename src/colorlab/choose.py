@@ -196,6 +196,9 @@ _LANE = 128
 # The most SplitMix64 outputs random_probe computes in one packed int
 # (4 KiB), whatever the graph's size.
 DRAW_LANES = 256
+# The most residue tuples (lcm**k) that may key the packed draws' memo;
+# past it the memo grows with the subsets drawn and saves little time.
+MEMO_KEYS = 1 << 16
 
 
 def _mix(z: int, mask: int) -> int:
@@ -291,7 +294,7 @@ def _mask_draws(n: int, k: int, ncolors: int):
     subset then depends only on its k residues, and a memo maps them to
     its mask.  A draw at or above the least rejection limit might be
     rejected, so a trial whose blocks hold one takes the per-draw path,
-    which applies the rejection rule itself.
+    which applies the rejection rule itself, as does a shape past MEMO_KEYS.
     """
     # The palette positions as one-bit masks: the bits of a drawn subset
     # sum to its domain mask.
@@ -304,7 +307,7 @@ def _mask_draws(n: int, k: int, ncolors: int):
 
     bounds = range(ncolors, ncolors - k, -1)
     lcm = math.lcm(*bounds)
-    if not lanes or lcm >= 1 << 30:
+    if not lanes or lcm**k > MEMO_KEYS:
         return per_draw
     rep = _rep(lanes)
     # A lane at or above the least limit carries into bit 64 of its lane.
@@ -312,7 +315,7 @@ def _mask_draws(n: int, k: int, ncolors: int):
     carry = rep << 64
     low = 0xFFFFFFFF * rep
     # A draw hi * 2**32 + lo is congruent to t = hi * wrap + lo < 2**62
-    # (wrap < lcm < 2**30), and t // lcm is floor(t * mul / 2**shift)
+    # (wrap < lcm <= MEMO_KEYS), and t // lcm is floor(t * mul / 2**shift)
     # (Granlund & Montgomery 1994), the product below 2**126 in its lane;
     # the quotient mask clears the bits the shift pulls in from above.
     wrap = (1 << 32) % lcm

@@ -17,7 +17,7 @@ List-coloring search
     color are assigned from a FIFO queue (unit propagation).  A search node
     is one color tried at a decision vertex; forced assignments are not
     nodes.  Decide mode returns the first proper coloring as its witness;
-    count mode counts every one and passes it to ``on_solution``, if given.
+    count mode counts every one.
 
     The degree tie-break makes the starting scan order a function of the
     adjacency alone, so it is computed once per graph, not once per call:
@@ -87,14 +87,13 @@ def branch_order(adj):
     return tuple(sorted(range(len(adj)), key=degree.__getitem__, reverse=True))
 
 
-def solve_colors(adj, order, domains, budget, mode, on_solution=None):
+def solve_colors(adj, order, domains, budget, mode):
     """Run the list-coloring search on an indexed instance.
 
     adj: sorted neighbor-index sequences, one per vertex; order:
     ``branch_order(adj)``, the scan order among equal domain sizes, which
     decide mode adapts within the call (a vertex moves ahead each time its
-    domain is wiped out); domains: bit masks; on_solution: called in count
-    mode with each proper coloring, a tuple of one-bit masks.
+    domain is wiped out); domains: bit masks.
     Returns (status, witness, nodes, propagations, count) where witness is
     a tuple of one-bit masks, one per vertex (decide mode, SAT only), and
     count is the number of proper colorings seen (exact unless status is
@@ -206,8 +205,6 @@ def solve_colors(adj, order, domains, budget, mode, on_solution=None):
             count += 1
             if mode == MODE_DECIDE:
                 return (SAT, tuple(color), nodes, props, count)
-            if on_solution is not None:
-                on_solution(tuple(color))
             returned = True
             continue
         else:

@@ -75,7 +75,7 @@ def graph_to_json(g: Graph) -> str:
         "vertices": [str(v) for v in g.vertices],
         "edges": [[str(u), str(v)] for u, v in g.edges()],
     }
-    if g.layout:
+    if g.layout is not None:
         payload["layout"] = {
             str(v): [_coord_out(x), _coord_out(y)]
             for v, (x, y) in sorted(g.layout.items())
@@ -144,7 +144,8 @@ def _ints(digits: list[str], lineno: int) -> list[int]:
 
 def graph_from_dimacs(text: str) -> Graph:
     """Read DIMACS .col; vertex identities are recovered from our own
-    comment mapping when present, otherwise vertices become plain(i)."""
+    comment mapping when present, otherwise vertices become plain(i); two
+    indices with one identity are refused, not merged."""
     names: dict[int, VertexId] = {}
     n = m = None
     raw_edges: list[tuple[int, int]] = []
@@ -185,6 +186,11 @@ def graph_from_dimacs(text: str) -> Graph:
         return names.get(i, plain(i))
 
     vertices = [ident(i) for i in range(1, n + 1)]
+    seen: set[VertexId] = set()
+    for v in vertices:
+        if v in seen:
+            raise GraphError(f"vertex id {v} names more than one of the {n} vertices")
+        seen.add(v)
     edges = [(ident(a), ident(b)) for a, b in raw_edges]
     return make_graph(vertices, edges)
 

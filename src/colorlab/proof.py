@@ -7,9 +7,8 @@ without that color the central wheel's corners fall into exactly three
 color families, each of which exhausts the central hub's list.  Chained
 over the four sections, the apex (adjacent to every corner, list
 {1,2,3,4}) is left without a color.  Every "forces" here is replayed as
-an exact enumeration or UNSAT check — no symbolic reasoning.  An
-enumeration that runs out of budget raises BudgetExhausted: no partial
-report is made.
+an exact count or UNSAT check — no symbolic reasoning.  A count that
+runs out of budget raises BudgetExhausted: no partial report is made.
 
 ``theorem_replay`` decides no claim itself: it runs the registered claims
 in THEOREM_CLAIMS (the four section lemmas, the direct monolithic UNSAT
@@ -20,6 +19,7 @@ registry in ``colorlab.verify`` and is re-exported.
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import NamedTuple, Optional
 
@@ -32,7 +32,7 @@ from colorlab.build import (
     wheel_lists,
 )
 from colorlab.graph import Graph, GraphError, VertexId, corner, delete_vertices, hub
-from colorlab.solve import DEFAULT_BUDGET, BudgetExhausted, decide, enumerate_colorings
+from colorlab.solve import DEFAULT_BUDGET, BudgetExhausted, count, decide
 from colorlab.verify import gadget_lemma  # noqa: F401 - re-exported
 from colorlab.verify import find_apex, run_claim
 
@@ -60,7 +60,7 @@ FAMILIES: tuple[tuple[int, int, int, int], ...] = (
 
 
 class ForcingReport(NamedTuple):
-    """What a pinned color forces, by exhaustive enumeration.
+    """What a pinned color forces, by exact counting.
 
     Every proper list coloring extending ``pinned`` assigns each vertex in
     ``forced`` its stated color.  ``examined`` counts those colorings; an
@@ -73,25 +73,29 @@ class ForcingReport(NamedTuple):
     examined: int
 
 
-def _colorings(
+def _pattern_counts(
     g: Graph, lists: ListAssignment, watch: tuple[VertexId, ...], budget: int
-) -> list[tuple[int, ...]]:
-    """The colors of ``watch`` in each proper list coloring, in enumeration order."""
-    seen: list[tuple[int, ...]] = []
-    res = enumerate_colorings(
-        g, lists, lambda col: seen.append(tuple(col[v] for v in watch)), budget
-    )
-    if res.status == "EXHAUSTED":
-        raise BudgetExhausted(
-            f"enumeration incomplete within {budget} nodes after {len(seen)} colorings"
-        )
-    return seen
+) -> dict[tuple[int, ...], int]:
+    """Each color pattern that proper list colorings give ``watch``, with
+    the number that do: one count per combination of the watched lists,
+    with ``watch`` pinned to it, all within ``budget`` nodes together."""
+    table: dict[tuple[int, ...], int] = {}
+    spent = 0
+    for pattern in itertools.product(*map(lists.list_of, watch)):
+        pins = {v: (c,) for v, c in zip(watch, pattern)}
+        res = count(g, ListAssignment(lists.palette, {**lists.lists, **pins}), budget - spent)
+        spent += res.nodes
+        if res.status == "EXHAUSTED":
+            raise BudgetExhausted(f"pattern count incomplete within {budget} nodes")
+        if res.count:
+            table[pattern] = res.count
+    return table
 
 
 def wheel_forcing(
     pin_vertex: VertexId, pin_color: int, budget: int = DEFAULT_BUDGET
 ) -> ForcingReport:
-    """Enumerate wheel colorings extending a single pin; report the forced set."""
+    """Count wheel colorings extending a single pin, by pattern; report the forced set."""
     g = wheel4()
     lists = wheel_lists()
     if pin_vertex not in lists.lists:
@@ -100,18 +104,15 @@ def wheel_forcing(
         raise GraphError(
             f"pinned color {pin_color} is outside the list of {pin_vertex}"
         )
-    pinned_lists = ListAssignment(
-        lists.palette,
-        {v: ((pin_color,) if v == pin_vertex else lists.list_of(v)) for v in g.vertices},
-    )
-    colorings = _colorings(g, pinned_lists, g.vertices, budget)
-    # zip(*colorings) gives each vertex the colors it takes, in vertex order.
+    pinned = ListAssignment(lists.palette, {**lists.lists, pin_vertex: (pin_color,)})
+    table = _pattern_counts(g, pinned, g.vertices, budget)
+    # zip(*table) gives each vertex the colors it takes, in vertex order.
     forced = {
         v: seen[0]
-        for v, seen in zip(g.vertices, zip(*colorings))
+        for v, seen in zip(g.vertices, zip(*table))
         if len(set(seen)) == 1 and v != pin_vertex
     }
-    return ForcingReport({pin_vertex: pin_color}, forced, len(colorings))
+    return ForcingReport({pin_vertex: pin_color}, forced, sum(table.values()))
 
 
 class FamiliesResult(NamedTuple):
@@ -136,7 +137,7 @@ class FamiliesResult(NamedTuple):
 
 
 def forcing_families(budget: int = DEFAULT_BUDGET) -> FamiliesResult:
-    """Enumerate the hubless gadget's colorings and classify the patterns."""
+    """Count the hubless gadget's colorings by corner pattern; classify the patterns."""
     g, outer = gadget()
     lists = canonical_lists().restrict(g.vertices)
     hub_list = lists.list_of(CENTRAL_HUB)
@@ -146,8 +147,8 @@ def forcing_families(budget: int = DEFAULT_BUDGET) -> FamiliesResult:
             raise GraphError(f"central hub is not adjacent to {c}")
 
     reduced = lists.restrict(hubless.vertices).without_color(outer, 1)
-    colorings = _colorings(hubless, reduced, CENTRAL_CORNERS, budget)
-    patterns = set(colorings)
+    table = _pattern_counts(hubless, reduced, CENTRAL_CORNERS, budget)
+    patterns = set(table)
 
     # With color 1 allowed back, exhibit one coloring outside the families:
     # no family colors a central corner 1, so pinning 1 there suffices.
@@ -156,10 +157,7 @@ def forcing_families(budget: int = DEFAULT_BUDGET) -> FamiliesResult:
     for c in CENTRAL_CORNERS:
         if 1 not in unreduced.list_of(c):
             continue
-        pinned = ListAssignment(
-            unreduced.palette,
-            {v: ((1,) if v == c else unreduced.list_of(v)) for v in hubless.vertices},
-        )
+        pinned = ListAssignment(unreduced.palette, {**unreduced.lists, c: (1,)})
         r = decide(hubless, pinned, budget)
         if r.status == "SAT":
             outside = tuple(r.witness[cc] for cc in CENTRAL_CORNERS)
@@ -170,7 +168,7 @@ def forcing_families(budget: int = DEFAULT_BUDGET) -> FamiliesResult:
     reason = "" if passed else "pattern classification failed"
     return FamiliesResult(
         passed,
-        len(colorings),
+        sum(table.values()),
         tuple(sorted(patterns)),
         hub_list,
         hub_blocked,

@@ -1,4 +1,4 @@
-"""Exact list-coloring solves: decide, count, enumerate, verify, CNF export.
+"""Exact list-coloring solves: decide, count, verify, CNF export.
 
 The search itself lives in the kernel module ``colorlab.engine``;
 this module translates between structured graphs and the kernels' indexed
@@ -10,7 +10,7 @@ bit masks) plus a CNF export channel for third-party cross-validation.
 from __future__ import annotations
 
 import json
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from colorlab import engine
 from colorlab.build import ListAssignment, uniform_lists
@@ -53,7 +53,7 @@ class SolveResult(NamedTuple):
 
 
 class CountResult(NamedTuple):
-    """Outcome of a counting or enumeration solve."""
+    """Outcome of a counting solve."""
 
     status: str
     count: int
@@ -110,25 +110,9 @@ def decide(g: Graph, lists: ListAssignment, budget: int = DEFAULT_BUDGET) -> Sol
 
 def count(g: Graph, lists: ListAssignment, budget: int = DEFAULT_BUDGET) -> CountResult:
     """Exact number of proper list colorings (status EXHAUSTED = lower bound)."""
-    return enumerate_colorings(g, lists, None, budget)
-
-
-def enumerate_colorings(
-    g: Graph,
-    lists: ListAssignment,
-    visitor: Optional[Callable[[dict[VertexId, int]], None]],
-    budget: int = DEFAULT_BUDGET,
-) -> CountResult:
-    """Count the proper list colorings, calling visitor (unless None) on
-    each, in deterministic order (status EXHAUSTED = lower bound)."""
-    order, adj, domains = _indexed(g, lists)
-    on_solution = (
-        None
-        if visitor is None
-        else lambda bits: visitor(_decode(order, lists.palette, bits))
-    )
+    _, adj, domains = _indexed(g, lists)
     status, _, nodes, props, found = engine.solve_colors(
-        adj, g.int_order, domains, budget, engine.MODE_COUNT, on_solution
+        adj, g.int_order, domains, budget, engine.MODE_COUNT
     )
     return CountResult(_STATUS[status], found, nodes, props, budget)
 

@@ -566,6 +566,9 @@ GARBAGE = {
         '{"vertices": ["plain:0"], "layout": {"plain:0": [true, 0]}}',
     ),
     "dimacs-missing-problem-line": ("graph.col", "e 1 2\n"),
+    # Two indices that read as one vertex id, which would shrink the graph.
+    "dimacs-repeated-name": ("graph.col", "c 1 apex\nc 2 apex\np edge 3 1\ne 2 3\n"),
+    "dimacs-name-of-another-index": ("graph.col", "c 1 plain:2\np edge 2 0\n"),
     "inexact-coordinate": (
         "graph.json",
         '{"vertices": ["plain:0"], "layout": {"plain:0": [0.5, 0]}}',
@@ -574,6 +577,8 @@ GARBAGE = {
 # The refusal each of these cases must name.
 GARBAGE_MESSAGES = {
     "dimacs-missing-problem-line": "error: missing problem line",
+    "dimacs-repeated-name": "error: vertex id apex names more than one of the 3",
+    "dimacs-name-of-another-index": "error: vertex id plain:2 names more than one of the 2",
     "inexact-coordinate": "error: layout coordinate 0.5 is not exact",
 }
 

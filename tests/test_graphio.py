@@ -30,6 +30,12 @@ def test_graph_json_round_trip():
     assert h.layout[plain(2)][0] == Fraction(1, 2)
 
 
+def test_graph_json_round_trip_keeps_an_empty_layout():
+    # An empty layout is a layout, not the absence of one.
+    g = Graph((), {}, {})
+    assert graphio.graph_from_json(graphio.graph_to_json(g)) == g
+
+
 def every_exact_kind():
     """Coordinates that are ints, Fractions and exactly representable floats."""
     vs = [plain(i) for i in range(3)]
@@ -144,6 +150,21 @@ def test_dimacs_rejects_bad_input():
         graphio.graph_from_dimacs("p edge 2 1\ne 1 5\n")
     with pytest.raises(GraphError):
         graphio.graph_from_dimacs("no header here\n")
+
+
+@pytest.mark.parametrize(
+    "text, repeated",
+    [
+        # Two name comments give the same id.
+        ("c 1 apex\nc 2 apex\np edge 3 1\ne 2 3\n", "apex"),
+        # A name is the plain(j) default of another index j.
+        ("c 1 plain:2\np edge 2 0\n", "plain:2"),
+    ],
+    ids=["repeated-name", "name-of-another-index"],
+)
+def test_dimacs_refuses_an_id_shared_by_two_indices(text, repeated):
+    with pytest.raises(GraphError, match=f"vertex id {repeated} names more than one"):
+        graphio.graph_from_dimacs(text)
 
 
 LONG = "1" * 5000  # more digits than int() converts from text

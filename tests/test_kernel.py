@@ -2,11 +2,11 @@
 
 Each group below runs the kernel on a fixed corpus and pins the sha256 of the
 repr of every output tuple (statuses, witnesses, node and propagation counts,
-solution counts, enumerated solutions, Hamiltonian cycles).  A change to the
+solution counts, Hamiltonian cycles).  A change to the
 search order, the pruning or the accounting shows up here as a new digest; a
 change that is meant to alter them must update the digest and say why in
-CHANGES.md.  The answers digest pins only what a search decides (statuses,
-solution counts, sorted solutions), which no change of search order may move.
+CHANGES.md.  The answers digest pins only what a search decides (statuses
+and solution counts), which no change of search order may move.
 The brute-force and CNF oracle tests in test_solve.py check the verdicts
 themselves.
 """
@@ -102,17 +102,8 @@ def larger_decide(seed):
     return n, adj, domains
 
 
-# Count mode with an on_solution callback: run() returns the solutions too.
-ENUM = 2
-
-
 def run(n, adj, domains, budget, mode):
-    """One kernel call; in enum mode the solutions are part of the output."""
-    order = branch_order(adj)
-    if mode != ENUM:
-        return solve_colors(adj, order, domains, budget, mode)
-    sols = []
-    return solve_colors(adj, order, domains, budget, MODE_COUNT, sols.append), sols
+    return solve_colors(adj, branch_order(adj), domains, budget, mode)
 
 
 def m_indexed():
@@ -126,23 +117,18 @@ def test_random_instances_all_modes_and_budgets():
     outputs = []
     for seed in range(150):
         n, adj, domains = random_indexed(seed)
-        for mode in (MODE_DECIDE, MODE_COUNT, ENUM):
+        for mode in (MODE_DECIDE, MODE_COUNT):
             for budget in (10**5, 3, 17):
                 outputs.append(run(n, adj, domains, budget, mode))
-    statuses = {out[0] if len(out) == 5 else out[0][0] for out in outputs}
-    assert statuses == {UNSAT, SAT, EXHAUSTED}
+    assert {out[0] for out in outputs} == {UNSAT, SAT, EXHAUSTED}
     assert digest(outputs) == RANDOM_DIGEST
 
 
 def answers(n, adj, domains, mode):
     """What one full-budget call decides, apart from the order it searched
-    in: the status, the solution count, the enumerated solutions sorted, and
-    for a decide-mode SAT only that its witness replays."""
-    out = run(n, adj, domains, 10**5, mode)
-    if mode == ENUM:
-        (status, _, _, _, count), sols = out
-        return status, count, sorted(sols)
-    status, witness, _, _, count = out
+    in: the status, the solution count, and for a decide-mode SAT only that
+    its witness replays."""
+    status, witness, _, _, count = run(n, adj, domains, 10**5, mode)
     if witness is None:
         return status, count, None
     edges = [(i, j) for i in range(n) for j in adj[i] if i < j]
@@ -157,7 +143,7 @@ def test_random_instances_answers():
     outputs = []
     for seed in range(150):
         n, adj, domains = random_indexed(seed)
-        for mode in (MODE_DECIDE, MODE_COUNT, ENUM):
+        for mode in (MODE_DECIDE, MODE_COUNT):
             outputs.append(answers(n, adj, domains, mode))
     assert {out[0] for out in outputs} == {UNSAT, SAT}
     assert digest(outputs) == RANDOM_ANSWERS_DIGEST
@@ -198,15 +184,10 @@ def test_branching_order(adj, domains, first, bit):
     assert witness[first] == bit
 
 
-@pytest.mark.parametrize("mode", [MODE_COUNT, ENUM])
-def test_counting_keeps_the_degree_order(mode):
-    # Counting and enumeration visit every solution in branch_order, and a
-    # wipe-out does not reorder them.
-    out = run(5, WIPE_ADJ, WIPE_DOMAINS, 10**5, mode)
-    if mode == ENUM:
-        out, sols = out
-        assert sols == [(0b100, 0b01, 0b10, 0b100, 0b10), (0b100, 0b10, 0b01, 0b100, 0b10)]
-    assert out == (SAT, None, 4, 5, 2)
+def test_counting_keeps_the_degree_order():
+    # Counting visits every solution in branch_order, and a wipe-out does
+    # not reorder it.
+    assert run(5, WIPE_ADJ, WIPE_DOMAINS, 10**5, MODE_COUNT) == (SAT, None, 4, 5, 2)
 
 
 def test_larger_decide_answers():
@@ -251,7 +232,7 @@ def test_theorem_instance_work_counts():
 def test_wheel_all_modes():
     order, adj, domains = _indexed(wheel4(), wheel_lists())
     outputs = [run(len(order), adj, domains, 10**6, mode)
-               for mode in (MODE_DECIDE, MODE_COUNT, ENUM)]
+               for mode in (MODE_DECIDE, MODE_COUNT)]
     assert digest(outputs) == WHEEL_DIGEST
 
 
@@ -438,11 +419,11 @@ def test_hamilton_long_cycle_deeper_than_recursion_limit(default_recursion_limit
     assert check_hamiltonian_cycle(g, res.cycle) == []
 
 
-RANDOM_DIGEST = "ad587480798c1df7221c30c3f1d539aba61b34dec12aa8edec5cd6aae06d408d"
-RANDOM_ANSWERS_DIGEST = "2b8ee04df481fa9b2aa534b81b81467af02cc74ae153f22682433a8ba21f2d3a"
+RANDOM_DIGEST = "109f93319d3b4c6e1a7257e18a692200833b497b53672e228139c265838f3bdb"
+RANDOM_ANSWERS_DIGEST = "f6b82188f054c52191458e22f36cc7ec549e49e94a8659045d33bbb420374fb2"
 THEOREM_DIGEST = "d1dfa54f992557fe2816ac94343bd754d91130399a6fb1c5fb36b244910ae8b4"
 LARGER_DECIDE_DIGEST = "46648749f56cf16c57912f6686c18fe576aac43a582867d2082fac8fea0d6d38"
-WHEEL_DIGEST = "760d553c7f87dfaf1714a181807e9c05fef4610c1bbb320ef7fc7b4f56e30cb1"
+WHEEL_DIGEST = "40858df4985e88dfc30760ea60a6028aaaa85b223c7773af0c5cae7e093c2c27"
 HAMILTON_DIGEST = "ac8dc609f857f7c0e5375069eba5f0f52f5e25408dedf4e78a6f11acd6db3130"
 LARGER_HAMILTON_DIGEST = "7554949d36e6550bb5355f984b0b1b24b92ff5be1b119efeea0a1372a6a9a1a2"
 M_CYCLE_DIGEST = "8ec2fbd495053ad51753d4742422d9f7afe11d5d931a77401d13fef7345392f6"

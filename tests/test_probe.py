@@ -250,6 +250,25 @@ def test_a_draw_at_the_floor_that_is_not_rejected_takes_the_per_draw_path(monkey
         assert 63 in counts  # all 63 subsets from one per-draw stream
 
 
+@pytest.mark.parametrize("k, ncolors, packed", [(3, 4, True), (5, 10, False)])
+def test_draws_skip_the_memo_past_memo_keys(monkeypatch, k, ncolors, packed):
+    # (3, 4): lcm 12, 12**3 = 1,728 keys, packed.  (5, 10): lcm 2,520,
+    # 2520**5 keys, so the memo would keep one entry per subset drawn.
+    real, counts = choose._subsets, []
+
+    def counting_subsets(draw, items, k, count):
+        counts.append(count)
+        return real(draw, items, k, count)
+
+    monkeypatch.setattr(choose, "_subsets", counting_subsets)
+    draws = choose._mask_draws(63, k, ncolors)
+    for seed in range(3):
+        assert draws(seed) == sampled_masks(seed, 63, k, ncolors)
+    # The per-draw path draws a trial's 63 subsets in one call; the packed
+    # path shuffles one subset per call, and only on a memo miss.
+    assert (63 not in counts) == packed
+
+
 @pytest.mark.parametrize("n, k, ncolors", [(63, 3, 64), (0, 3, 4), (3, 64, 64), (90, 1, 1)])
 def test_batched_draws_match_sample(n, k, ncolors):
     for seed in (0, 1, M64, 2**64 + 7, -1):

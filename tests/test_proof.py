@@ -78,10 +78,10 @@ def test_wheel_forcing_pins(pin):
     assert report.examined == examined
 
 
-def test_wheel_forcing_budget_raises():
-    # Two nodes see one coloring, which would "force" every vertex.
-    with pytest.raises(BudgetExhausted, match="within 2 nodes after 1 colorings"):
-        wheel_forcing(NW, 2, budget=2)
+def test_wheel_forcing_needs_no_search_nodes():
+    # With every wheel vertex pinned, propagation alone decides each count,
+    # so no budget is ever spent and none can run out.
+    assert wheel_forcing(NW, 2, budget=2) == wheel_forcing(NW, 2)
 
 
 def test_pin_must_be_a_wheel_vertex():

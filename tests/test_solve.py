@@ -1,6 +1,7 @@
-"""Solver contracts: decide/count/enumerate, oracles, CNF export."""
+"""Solver contracts: decide/count, oracles, CNF export."""
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 from colorlab.build import ListAssignment, make_lists, mirzakhani, canonical_lists, uniform_lists, wheel4, wheel_lists
 from colorlab.choose import SplitMix64
 from colorlab.graph import Graph, GraphError, hub, make_graph, plain
+from colorlab.proof import _pattern_counts
 from colorlab.solve import (
     BudgetExhausted,
     chromatic_number,
     count,
     decide,
-    enumerate_colorings,
     to_cnf,
     verify_coloring,
 )
@@ -32,15 +33,17 @@ def cycle(n):
     return make_graph(vs, [(vs[i], vs[(i + 1) % n]) for i in range(n)])
 
 
-def brute_force_count(g, lists):
+def proper_colorings(g, lists):
     """Exhaustive oracle: try every assignment from the lists."""
     order = sorted(g.vertices)
-    total = 0
     for combo in itertools.product(*(lists.list_of(v) for v in order)):
         coloring = dict(zip(order, combo))
         if all(coloring[u] != coloring[v] for u, v in g.edges()):
-            total += 1
-    return total
+            yield coloring
+
+
+def brute_force_count(g, lists):
+    return sum(1 for _ in proper_colorings(g, lists))
 
 
 def random_instance(seed, max_n=12, max_colors=4):
@@ -113,20 +116,6 @@ def test_budget_exhaustion_is_reported():
     assert res.nodes == 10
 
 
-def test_enumerate_agrees_with_count_and_is_proper():
-    g, lists = wheel4(), wheel_lists()
-    seen = []
-    enumerate_colorings(g, lists, seen.append)
-    assert len(seen) == count(g, lists).count
-    for coloring in seen:
-        assert verify_coloring(g, lists, coloring) == []
-    # deterministic order, first solution = decide's witness
-    assert seen[0] == decide(g, lists).witness
-    again = []
-    enumerate_colorings(g, lists, again.append)
-    assert again == seen
-
-
 # ------------------------------------------------------------ determinism
 
 
@@ -158,6 +147,15 @@ def test_decide_and_count_match_brute_force_on_random_instances():
         if d.sat:
             assert verify_coloring(g, lists, d.witness) == []
     assert mismatches == []
+
+
+def test_pattern_counts_match_a_brute_force_tally():
+    for seed in range(60):
+        g, lists = random_instance(seed, max_n=8)
+        rng = SplitMix64(seed ^ 0xFACE)
+        watch = tuple(g.vertices[i] for i in rng.sample(range(g.n), min(g.n, 1 + rng.below(3))))
+        tally = Counter(tuple(c[v] for v in watch) for c in proper_colorings(g, lists))
+        assert _pattern_counts(g, lists, watch, 10**6) == tally, seed
 
 
 @settings(deadline=None, max_examples=40)
