@@ -3,8 +3,8 @@ and its canonical list assignment.
 
 Everything is generated from a cell grid: cell (x, y) contributes a hub at
 (x, y), four corners at (2x±1, 2y±1), four hub-corner spokes, and the rim
-4-cycle on its corners.  Corners and rim edges shared between adjacent
-cells deduplicate, which is what reproduces the drawn graph exactly.
+4-cycle on its corners.  A corner shared by adjacent cells is collected once
+and a shared rim edge collapses in ``make_graph``, which gives the drawn graph.
 
 Drawing coordinates come only from ``canonical_layout``, and section j of M
 is section 1 moved j-1 sections east by ``_shift``; the gadget is section 1.
@@ -127,12 +127,12 @@ def _cell_vertices(x: int, y: int) -> tuple[VertexId, ...]:
 
 
 def _cells_graph(cells: Iterable[tuple[int, int]]) -> Graph:
-    """Hubs, deduplicated corners, spokes, and rim 4-cycles of the cells."""
-    vertices: list[VertexId] = []
+    """Hubs, corners, spokes, and rim 4-cycles of the cells."""
+    vertices: dict[VertexId, None] = {}  # keys: each corner once, though cells share it
     edges: list[tuple[VertexId, VertexId]] = []
     for x, y in cells:
         h, *rim = _cell_vertices(x, y)
-        vertices += [h, *rim]
+        vertices |= dict.fromkeys((h, *rim))
         edges += [(h, c) for c in rim]
         edges += zip(rim, rim[1:] + rim[:1])
     return canonical_layout(make_graph(vertices, edges))

@@ -6,7 +6,8 @@ a plain integer id for generic graphs.  A vertex id is the tuple
 is the fixed total order (apex < hub < corner < plain, coordinates
 lexicographic) that makes every derived sequence deterministic.  Ids hold
 only integers, so their order and hash do not depend on the hash seed.
-A layout is checked once, when its ``Graph`` is made; readers trust it.
+A layout is checked once, when its ``Graph`` is made, and ``make_graph``
+refuses an id listed twice; readers and builders rely on both checks.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ def plain(n: int) -> VertexId:
 
 
 def parse_vertex(text: str) -> VertexId:
-    """Inverse of ``str(vertex)``: 'apex', 'hub:x,y', 'corner:a,b', 'plain:n'."""
+    """Inverse of ``str(vertex)``: 'apex', 'hub:x,y', 'corner:a,b', 'plain:n'.
+    Only that spelling is read: 'plain:00' or 'hub:+1,0' is unparseable."""
     if text == "apex":
         return apex()
     kind, _, rest = text.partition(":")
@@ -85,6 +87,8 @@ def parse_vertex(text: str) -> VertexId:
         coords = tuple(int(c) for c in rest.split(","))
     except ValueError:
         raise GraphError(f"unparseable vertex id {text!r}") from None
+    if ",".join(map(str, coords)) != rest:
+        raise GraphError(f"unparseable vertex id {text!r}")
     if kind == "hub" and len(coords) == 2:
         return hub(*coords)
     if kind == "corner" and len(coords) == 2:
@@ -225,9 +229,12 @@ def make_graph(
     edges: Iterable[tuple[VertexId, VertexId]],
     layout: Optional[Mapping[VertexId, tuple[Coord, Coord]]] = None,
 ) -> Graph:
-    """Build a simple graph; duplicate edges collapse, loops are rejected."""
-    vs = sorted(set(vertices))
+    """Build a simple graph; duplicate edges collapse, loops and repeated ids are refused."""
+    vs = sorted(vertices)
     vset = set(vs)
+    if len(vset) < len(vs):
+        v = next(u for u, w in zip(vs, vs[1:]) if u == w)
+        raise GraphError(f"vertex id {v} names more than one of the {len(vs)} vertices")
     nbrs: dict[VertexId, set[VertexId]] = {v: set() for v in vs}
     for u, v in edges:
         if u == v:

@@ -65,9 +65,21 @@ def _expect(x, kind: type, what: str, size: Optional[int] = None, item=object):
 def _decode(text: str):
     # JSONDecodeError is a ValueError, and so is a number too long for int().
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_one_value_per_key)
+    except GraphError:
+        raise
     except (ValueError, RecursionError) as exc:
         raise GraphError(f"not valid JSON: {exc}") from exc
+
+
+def _one_value_per_key(pairs: list[tuple[str, object]]) -> dict:
+    # json.loads would keep the last of two equal keys without a word.
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise GraphError(f"JSON object repeats the key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def graph_to_json(g: Graph) -> str:
@@ -145,7 +157,7 @@ def _ints(digits: list[str], lineno: int) -> list[int]:
 def graph_from_dimacs(text: str) -> Graph:
     """Read DIMACS .col; vertex identities are recovered from our own
     comment mapping when present, otherwise vertices become plain(i); two
-    indices with one identity are refused, not merged."""
+    indices with one identity are refused by ``make_graph``."""
     names: dict[int, VertexId] = {}
     n = m = None
     raw_edges: list[tuple[int, int]] = []
@@ -186,11 +198,6 @@ def graph_from_dimacs(text: str) -> Graph:
         return names.get(i, plain(i))
 
     vertices = [ident(i) for i in range(1, n + 1)]
-    seen: set[VertexId] = set()
-    for v in vertices:
-        if v in seen:
-            raise GraphError(f"vertex id {v} names more than one of the {n} vertices")
-        seen.add(v)
     edges = [(ident(a), ident(b)) for a, b in raw_edges]
     return make_graph(vertices, edges)
 

@@ -395,8 +395,6 @@ def perfect_matching(g: Graph) -> MatchingResult:
     """
     if g.n % 2 == 1:
         return MatchingResult(None, reason=f"odd vertex count {g.n}")
-    if g.n == 0:
-        return MatchingResult(())
     order = g.vertices
     match = _max_matching(g.int_adj)
     exposed = [order[i] for i in range(g.n) if match[i] == -1]

@@ -573,6 +573,34 @@ GARBAGE = {
         "graph.json",
         '{"vertices": ["plain:0"], "layout": {"plain:0": [0.5, 0]}}',
     ),
+    # An id listed twice, or in a second spelling, would shrink the graph or
+    # merge two lists or two points.
+    "json-repeated-vertex-id": ("graph.json", '{"vertices": ["plain:0", "plain:0", "plain:1"]}'),
+    "json-respelled-vertex-id": ("graph.json", '{"vertices": ["plain:0", "plain:00"]}'),
+    "json-respelled-layout-key": (
+        "graph.json",
+        '{"vertices": ["plain:0"], "layout": {"plain:0": [0, 0], "plain:00": [5, 5]}}',
+    ),
+    "json-respelled-list-key": (
+        "lists.json",
+        '{"palette": [1, 2, 3], "lists": {"plain:0": [1], "plain:00": [2],'
+        ' "plain:1": [1], "plain:2": [3]}}',
+    ),
+    # json.loads would keep the second list of plain:0, which makes K3 SAT;
+    # with the first it is UNSAT.
+    "json-repeated-list-key": (
+        "lists.json",
+        '{"palette": [1, 2, 3], "lists": {"plain:0": [1], "plain:0": [2],'
+        ' "plain:1": [1], "plain:2": [3]}}',
+    ),
+    "json-repeated-graph-key": (
+        "graph.json",
+        '{"vertices": ["plain:0"], "vertices": ["plain:0", "plain:1"]}',
+    ),
+    "json-repeated-layout-key": (
+        "graph.json",
+        '{"vertices": ["plain:0"], "layout": {"plain:0": [0, 0], "plain:0": [5, 5]}}',
+    ),
 }
 # The refusal each of these cases must name.
 GARBAGE_MESSAGES = {
@@ -580,6 +608,13 @@ GARBAGE_MESSAGES = {
     "dimacs-repeated-name": "error: vertex id apex names more than one of the 3",
     "dimacs-name-of-another-index": "error: vertex id plain:2 names more than one of the 2",
     "inexact-coordinate": "error: layout coordinate 0.5 is not exact",
+    "json-repeated-vertex-id": "error: vertex id plain:0 names more than one of the 3 vertices",
+    "json-respelled-vertex-id": "error: unparseable vertex id 'plain:00'",
+    "json-respelled-layout-key": "error: unparseable vertex id 'plain:00'",
+    "json-respelled-list-key": "error: unparseable vertex id 'plain:00'",
+    "json-repeated-list-key": "error: JSON object repeats the key 'plain:0'",
+    "json-repeated-graph-key": "error: JSON object repeats the key 'vertices'",
+    "json-repeated-layout-key": "error: JSON object repeats the key 'plain:0'",
 }
 
 

@@ -1,5 +1,7 @@
 """Graph representation and basic structural queries."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -117,6 +119,24 @@ def test_parse_vertex_round_trip():
         assert parse_vertex(str(v)) == v
     with pytest.raises(GraphError):
         parse_vertex("nonsense:1,2,3")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["plain:00", "plain: 3", "plain:3 ", "plain:+3", "plain:٣", "hub:+1,0", "hub:-0,0",
+     "corner:1_1,1"],
+)
+def test_parse_vertex_reads_one_spelling_per_id(text):
+    # Each of these reads as an int under int(), but str() spells that id
+    # otherwise, so a reader that keys a dict on ids would merge the two.
+    with pytest.raises(GraphError, match=f"^{re.escape(f'unparseable vertex id {text!r}')}$"):
+        parse_vertex(text)
+
+
+def test_make_graph_refuses_a_repeated_id():
+    vs = [plain(1), plain(0), hub(0, 0), plain(0)]
+    with pytest.raises(GraphError, match="^vertex id plain:0 names more than one of the 4 vertices$"):
+        make_graph(vs, [(plain(0), plain(1))])
 
 
 def test_delete_vertices():

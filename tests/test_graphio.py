@@ -7,8 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colorlab import graphio
-from colorlab.build import canonical_lists, mirzakhani, section_gadget, uniform_lists
-from colorlab.graph import Graph, GraphError, apex, delete_vertices, make_graph, plain
+from colorlab.build import (
+    canonical_lists,
+    gadget,
+    mirzakhani,
+    section_gadget,
+    uniform_lists,
+    wheel4,
+    wheel_lists,
+)
+from colorlab.graph import Graph, GraphError, apex, delete_vertices, make_graph, parse_vertex, plain
 from colorlab.solve import to_cnf
 
 
@@ -187,6 +195,29 @@ def test_readers_refuse_numbers_too_long_for_int(reader, text):
 def test_dimacs_ignores_a_name_comment_with_a_long_index():
     g = graphio.graph_from_dimacs(f"c {LONG} hub:0,0\np edge 1 0\n")
     assert g.vertices == (plain(1),)
+
+
+# ------------------------------------------------------- one id, one vertex
+
+
+def test_every_id_the_writers_emit_is_read_back_in_the_same_spelling():
+    g, _ = gadget()
+    cases = [(mirzakhani(), canonical_lists()), (g, None), (wheel4(), wheel_lists()), (small(), None)]
+    for graph, lists in cases:
+        doc = json.loads(graphio.graph_to_json(graph))
+        texts = doc["vertices"] + [s for e in doc["edges"] for s in e] + list(doc["layout"])
+        names = [ln.split() for ln in graphio.graph_to_dimacs(graph).splitlines()]
+        texts += [parts[2] for parts in names if parts[0] == "c" and len(parts) == 3]
+        if lists is not None:
+            texts += list(json.loads(graphio.lists_to_json(lists))["lists"])
+        for s in texts:
+            assert str(parse_vertex(s)) == s
+
+
+def test_dimacs_ignores_a_name_comment_in_a_second_spelling():
+    # 'plain:00' is no id, so index 1 keeps its default name.
+    g = graphio.graph_from_dimacs("c 1 plain:00\np edge 2 1\ne 1 2\n")
+    assert g.vertices == (plain(1), plain(2))
 
 
 # ------------------------------------------------------------ reader fuzz

@@ -612,6 +612,13 @@ def test_perfect_matching_square():
     assert check_matching(square(), res.matching) == []
 
 
+def test_perfect_matching_of_the_empty_graph_is_empty():
+    empty = make_graph([], [])
+    res = perfect_matching(empty)
+    assert res == verify.MatchingResult(()) and res.size == 0
+    assert check_matching(empty, res.matching) == []
+
+
 def test_perfect_matching_odd_order():
     res = perfect_matching(cycle(3))
     assert res.matching is None
