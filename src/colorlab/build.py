@@ -8,10 +8,17 @@ and a shared rim edge collapses in ``make_graph``, which gives the drawn graph.
 
 Drawing coordinates come only from ``canonical_layout``, and section j of M
 is section 1 moved j-1 sections east by ``_shift``; the gadget is section 1.
+
+The five fixed objects (``wheel4``, ``gadget``, ``mirzakhani``,
+``wheel_lists``, ``canonical_lists``) are built on their first call and
+the same read-only value is returned on every later one, so a process
+builds each at most once; nothing is built at import.
 """
 
 from __future__ import annotations
 
+from functools import cache
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .graph import (
@@ -57,7 +64,8 @@ SECTION_PERMUTATIONS: tuple[dict[int, int], ...] = (
 
 class ListAssignment(FrozenFields):
     """Per-vertex color lists over a finite palette; every list is nonempty
-    and inside the palette.  Read-only and compared by its two fields."""
+    and inside the palette.  Read-only and compared by its two fields:
+    ``lists`` is a read-only mapping over a copy made here."""
 
     _fields = ("palette", "lists")
     palette: tuple[int, ...]
@@ -66,13 +74,14 @@ class ListAssignment(FrozenFields):
     def __init__(
         self, palette: tuple[int, ...], lists: Mapping[VertexId, tuple[int, ...]]
     ) -> None:
+        lists = dict(lists)
         pal = set(palette)
         for v, lst in lists.items():
             if not lst:
                 raise GraphError(f"empty color list at {v}")
             if not set(lst) <= pal:
                 raise GraphError(f"list at {v} leaves the palette: {lst}")
-        self.__dict__.update(palette=palette, lists=lists)
+        self.__dict__.update(palette=palette, lists=MappingProxyType(lists))
 
     def list_of(self, v: VertexId) -> tuple[int, ...]:
         if v not in self.lists:
@@ -126,8 +135,10 @@ def _cell_vertices(x: int, y: int) -> tuple[VertexId, ...]:
     return (hub(x, y), *(corner(2 * x + dx, 2 * y + dy) for dx, dy in rim))
 
 
-def _cells_graph(cells: Iterable[tuple[int, int]]) -> Graph:
-    """Hubs, corners, spokes, and rim 4-cycles of the cells."""
+def _cells(
+    cells: Iterable[tuple[int, int]],
+) -> tuple[dict[VertexId, None], list[tuple[VertexId, VertexId]]]:
+    """Hubs and corners, then spokes and rim 4-cycles, of the cells."""
     vertices: dict[VertexId, None] = {}  # keys: each corner once, though cells share it
     edges: list[tuple[VertexId, VertexId]] = []
     for x, y in cells:
@@ -135,14 +146,20 @@ def _cells_graph(cells: Iterable[tuple[int, int]]) -> Graph:
         vertices |= dict.fromkeys((h, *rim))
         edges += [(h, c) for c in rim]
         edges += zip(rim, rim[1:] + rim[:1])
-    return canonical_layout(make_graph(vertices, edges))
+    return vertices, edges
 
 
+def _cells_graph(cells: Iterable[tuple[int, int]]) -> Graph:
+    return canonical_layout(make_graph(*_cells(cells)))
+
+
+@cache
 def wheel4() -> Graph:
     """The 4-wheel: one hub plus its rim 4-cycle (a single cell at the origin)."""
     return _cells_graph([(0, 0)])
 
 
+@cache
 def gadget() -> tuple[Graph, tuple[VertexId, ...]]:
     """The 17-vertex five-wheel gadget and its 12 outer-face corners."""
     g = _cells_graph(section_cells(1))
@@ -150,14 +167,16 @@ def gadget() -> tuple[Graph, tuple[VertexId, ...]]:
     return g, outer
 
 
+@cache
 def mirzakhani() -> Graph:
     """The 63-vertex Mirzakhani graph M: 20 cells plus an apex joined to
     every corner."""
-    base = _cells_graph(M_CELLS)
-    spokes = [(apex(), v) for v in base.vertices if v.kind == "corner"]
-    return canonical_layout(make_graph([*base.vertices, apex()], [*base.edges(), *spokes]))
+    vertices, edges = _cells(M_CELLS)
+    spokes = [(apex(), v) for v in vertices if v.kind == "corner"]
+    return canonical_layout(make_graph([*vertices, apex()], [*edges, *spokes]))
 
 
+@cache
 def wheel_lists() -> ListAssignment:
     """Forcing lists for the standalone 4-wheel: color 1 absent everywhere,
     the four 3-subsets of {2,3,4,5} on the rim, the full set at the hub."""
@@ -180,6 +199,7 @@ def section_cells(j: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((x, y) for x, y in M_CELLS if x in xs))
 
 
+@cache
 def canonical_lists() -> ListAssignment:
     """The list assignment drawn on M: hubs of section j get the list
     forbidding j, the apex forbids 5, and corners follow the section-1

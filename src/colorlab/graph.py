@@ -8,12 +8,17 @@ lexicographic) that makes every derived sequence deterministic.  Ids hold
 only integers, so their order and hash do not depend on the hash seed.
 A layout is checked once, when its ``Graph`` is made, and ``make_graph``
 refuses an id listed twice; readers and builders rely on both checks.
+A ``Graph`` is read-only all the way down: its ``adj`` and ``layout`` are
+read-only views of copies made when it is made, so a graph can be shared
+and the integer forms and M - apex it keeps (built on first use) can
+never go stale.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
+from types import MappingProxyType
 from typing import (
     TYPE_CHECKING,
     Iterable,
@@ -109,7 +114,7 @@ class FrozenFields:
     """
 
     _fields: tuple[str, ...] = ()
-    __hash__ = None  # type: ignore[assignment]  # the fields hold dicts
+    __hash__ = None  # type: ignore[assignment]  # the fields hold mappings
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
@@ -134,9 +139,11 @@ class Graph(FrozenFields):
     """Immutable simple graph.
 
     ``vertices`` is sorted by the vertex total order and every adjacency
-    tuple is sorted the same way; the fields are read-only.  ``layout`` gives
-    each vertex one pair of ``Coord``s, checked and copied here.  Equality
-    compares the three fields, never the cached integer forms below.
+    tuple is sorted the same way.  ``adj`` and ``layout`` are copied here
+    and kept as read-only mappings: assigning into one raises TypeError, and
+    a caller who later changes the dict it passed in changes nothing here.
+    ``layout`` gives each vertex one pair of ``Coord``s, checked here.
+    Equality compares the three fields, never the cached forms below.
     """
 
     _fields = ("vertices", "adj", "layout")
@@ -160,8 +167,8 @@ class Graph(FrozenFields):
             stray = sorted(map(str, layout.keys() - set(vertices)))
             if stray:
                 raise GraphError(f"layout has coordinates for {stray[0]}, not a vertex")
-            layout = dict(layout)
-        self.__dict__.update(vertices=vertices, adj=adj, layout=layout)
+            layout = MappingProxyType(dict(layout))
+        self.__dict__.update(vertices=vertices, adj=MappingProxyType(dict(adj)), layout=layout)
 
     @property
     def n(self) -> int:
@@ -212,6 +219,19 @@ class Graph(FrozenFields):
         read it share nothing with the kernels' input; kept on this graph."""
         pos = self.index()
         return tuple((pos[u], pos[v]) for u, v in self.edges())
+
+    @cached_property
+    def apex_deleted(self) -> Graph:
+        """This graph without its apex (``find_apex``), or a copy of it when
+        it has none: the graph the apex-deleted claims and the apex
+        embedding read; kept on this graph."""
+        apex_vertex = find_apex(self)
+        return delete_vertices(self, [] if apex_vertex is None else [apex_vertex])
+
+
+def find_apex(g: Graph) -> Optional[VertexId]:
+    """``apex()`` if g has it, else None: no other vertex id is an apex."""
+    return apex() if apex() in g.adj else None
 
 
 def _exact(c: object) -> bool:

@@ -99,16 +99,24 @@ def graph_from_json(text: str) -> Graph:
     payload = _decode(text)
     if not isinstance(payload, dict) or "vertices" not in payload:
         raise GraphError("graph JSON must be an object with a 'vertices' key")
+    parsed: dict[str, VertexId] = {}  # each id text is parsed once per document
+
+    def ident(text: str) -> VertexId:
+        v = parsed.get(text)
+        if v is None:
+            v = parsed[text] = parse_vertex(text)
+        return v
+
     ids = _expect(payload["vertices"], list, "vertices", item=str)
-    vertices = [parse_vertex(s) for s in ids]
+    vertices = [ident(s) for s in ids]
     edges = [
-        tuple(parse_vertex(s) for s in _expect(e, list, "edge", 2, item=str))
+        tuple(ident(s) for s in _expect(e, list, "edge", 2, item=str))
         for e in _expect(payload.get("edges", []), list, "edges")
     ]
     layout = None
     if "layout" in payload:
         layout = {
-            parse_vertex(s): tuple(_coord_in(x) for x in _expect(xy, list, "point", 2))
+            ident(s): tuple(_coord_in(x) for x in _expect(xy, list, "point", 2))
             for s, xy in _expect(payload["layout"], dict, "layout").items()
         }
     return make_graph(vertices, edges, layout)
@@ -169,7 +177,7 @@ def graph_from_dimacs(text: str) -> Graph:
             if len(parts) == 3 and parts[1].isdecimal():
                 try:
                     names[int(parts[1])] = parse_vertex(parts[2])
-                except (GraphError, ValueError):  # ValueError: too many digits
+                except ValueError:  # int() past 4,300 digits, or an unparseable id's GraphError
                     pass
             continue
         numeric = all(p.isdecimal() for p in parts[-2:])

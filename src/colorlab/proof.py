@@ -31,10 +31,10 @@ from colorlab.build import (
     wheel4,
     wheel_lists,
 )
-from colorlab.graph import Graph, GraphError, VertexId, corner, delete_vertices, hub
+from colorlab.graph import Graph, GraphError, VertexId, corner, delete_vertices, find_apex, hub
 from colorlab.solve import DEFAULT_BUDGET, BudgetExhausted, count, decide
 from colorlab.verify import gadget_lemma  # noqa: F401 - re-exported
-from colorlab.verify import find_apex, run_claim
+from colorlab.verify import run_claim
 
 LEMMAS = tuple(f"gadget-lemma-{j}" for j in range(1, 5))
 # The registered claims the theorem rests on, in the order they are run.

@@ -35,10 +35,10 @@ from colorlab.graph import (
     Graph,
     GraphError,
     VertexId,
-    apex,
     components,
     degree_histogram,
     delete_vertices,
+    find_apex,
     is_connected,
 )
 from colorlab.solve import DEFAULT_BUDGET, BudgetExhausted, chromatic_number, decide
@@ -200,11 +200,6 @@ def outer_walk(g: Graph, rot: Optional[RotationSystem] = None) -> tuple[VertexId
     return tuple(walk[least:] + walk[:least])
 
 
-def find_apex(g: Graph) -> Optional[VertexId]:
-    """``apex()`` if g has it, else None: no other vertex id is an apex."""
-    return apex() if apex() in g.adj else None
-
-
 def apex_embed(g: Graph) -> RotationSystem:
     """Extend the rim embedding of an apexed graph to all of it.
 
@@ -216,7 +211,7 @@ def apex_embed(g: Graph) -> RotationSystem:
     apex_vertex = find_apex(g)
     if apex_vertex is None:
         raise GraphError("expected exactly one apex vertex, found 0")
-    rim = delete_vertices(g, [apex_vertex])
+    rim = g.apex_deleted
     rim_rot = rotation_from_layout(rim)
     walk = outer_walk(rim, rim_rot)
     if set(g.adj[apex_vertex]) != set(walk):
@@ -517,11 +512,6 @@ def gadget_lemma(
 # replaces them (perfbench/spans.py) sees every call.
 
 
-def _apex_deleted(g: Graph) -> Graph:
-    apex_vertex = find_apex(g)
-    return delete_vertices(g, [] if apex_vertex is None else [apex_vertex])
-
-
 def _counts(g, lists, budget):
     hist = {str(d): count for d, count in degree_histogram(g).items()}
     return True, {"vertices": g.n, "edges": g.m, "degree_histogram": hist}
@@ -616,7 +606,7 @@ def _cut(g, lists, budget):
     # graph) if it certifies; else the first single vertex that splits the
     # graph, which always certifies; else the construction's cut as it
     # stands (an empty one raises).
-    rest = _apex_deleted(g)
+    rest = g.apex_deleted
     cut = [v for v in rest.vertices if rest.degree(v) == 7]
     cert = cut_certificate(rest, cut) if cut else None
     if cert is None or not cert.non_hamiltonian:
@@ -631,7 +621,7 @@ def _cut(g, lists, budget):
 
 
 def _matching(g, lists, budget):
-    rest = _apex_deleted(g)
+    rest = g.apex_deleted
     res = perfect_matching(rest)
     if res.matching is None:
         return False, {"reason": res.reason}

@@ -208,3 +208,33 @@ def test_list_of_refuses_a_missing_vertex():
 def test_without_color_refuses_a_missing_vertex():
     with pytest.raises(GraphError, match=r"^lists missing for 1 vertices, e\.g\. hub:99,0$"):
         canonical_lists().without_color([hub(99, 0)], 1)
+
+
+# ------------------------------------------------- one shared construction
+
+BUILDERS = (wheel4, gadget, mirzakhani, wheel_lists, canonical_lists)
+
+
+@pytest.mark.parametrize("builder", BUILDERS, ids=lambda b: b.__name__)
+def test_a_builder_returns_one_shared_value(builder):
+    first = builder()
+    assert builder() is first
+    assert first == builder.__wrapped__()  # the uncached build
+    assert builder.__wrapped__() is not first
+
+
+def test_a_list_assignment_is_read_only():
+    lists = canonical_lists()
+    with pytest.raises(TypeError):
+        lists.lists[apex()] = (1,)
+    with pytest.raises(TypeError):
+        del lists.lists[apex()]
+    assert lists.list_of(apex()) == (1, 2, 3, 4)
+
+
+def test_a_list_assignment_keeps_its_own_copy_of_its_lists():
+    given = {hub(0, 0): (1, 2)}
+    lists = ListAssignment((1, 2), given)
+    given[hub(0, 0)] = (1,)
+    given[hub(1, 0)] = (2,)
+    assert lists == ListAssignment((1, 2), {hub(0, 0): (1, 2)})

@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from colorlab.build import canonical_layout, mirzakhani
+from colorlab.build import canonical_layout, mirzakhani, uniform_lists
 from colorlab.engine import branch_order
 from colorlab.graph import (
     Graph,
@@ -29,6 +29,7 @@ from colorlab.graphio import (
     graph_to_dot,
     graph_to_json,
 )
+from colorlab.solve import decide
 from colorlab.verify import rotation_from_layout
 
 
@@ -188,6 +189,52 @@ def test_a_graph_keeps_its_own_copy_of_the_layout():
     g = Graph((a,), {a: ()}, layout)
     layout[a] = ("x", None)
     assert g.layout == {a: (0, 0)}
+
+
+def test_a_graphs_mappings_are_read_only():
+    m = mirzakhani()
+    v = m.vertices[0]
+    with pytest.raises(TypeError):
+        m.adj[v] = ()
+    with pytest.raises(TypeError):
+        m.layout[v] = (0, 0)
+    with pytest.raises(TypeError):
+        del m.adj[v]
+    assert m.adj[v] and m.layout[v] == (33, 25)
+
+
+def test_a_graph_keeps_its_own_copy_of_its_adjacency():
+    a, b = plain(0), plain(1)
+    adj = {a: (b,), b: (a,)}
+    layout = {a: (0, 0), b: (1, 0)}
+    g = Graph((a, b), adj)
+    h = make_graph([a, b], [(a, b)], layout)
+    expected_g, expected_h = Graph((a, b), dict(adj)), make_graph([a, b], [(a, b)], dict(layout))
+    adj[a] = ()
+    adj[plain(2)] = ()
+    layout[a] = (5, 5)
+    assert g == expected_g and g.adj[a] == (b,) and g.m == 1
+    assert h == expected_h and h.layout[a] == (0, 0)
+
+
+def test_an_adjacency_cannot_go_stale_under_its_cached_integer_form():
+    # Emptying a triangle's row once left m == 2 while decide still read
+    # the cached int_adj of the triangle and answered UNSAT.
+    tri = cycle(3)
+    lists = uniform_lists(tri, (1, 2))
+    assert decide(tri, lists).status == "UNSAT"
+    with pytest.raises(TypeError):
+        tri.adj[plain(0)] = ()
+    assert tri.m == 3 and decide(tri, lists).status == "UNSAT"
+
+
+def test_m_minus_apex_is_built_once_per_graph():
+    m = mirzakhani()
+    rest = delete_vertices(m, [apex()])
+    assert m.apex_deleted is m.apex_deleted and m.apex_deleted == rest
+    assert "apex_deleted" not in vars(rest)  # a derived graph starts without one
+    assert rest.apex_deleted == rest
+    assert cycle(4).apex_deleted == cycle(4)
 
 
 JUNK = (

@@ -214,6 +214,20 @@ def test_every_id_the_writers_emit_is_read_back_in_the_same_spelling():
             assert str(parse_vertex(s)) == s
 
 
+def test_the_json_reader_parses_each_id_text_once(monkeypatch):
+    # M's file names 492 id texts (63 vertices, 366 edge ends, 63 layout
+    # keys) for its 63 vertices.
+    texts = []
+
+    def counting(text):
+        texts.append(text)
+        return parse_vertex(text)
+
+    monkeypatch.setattr(graphio, "parse_vertex", counting)
+    assert graphio.graph_from_json(graphio.graph_to_json(mirzakhani())) == mirzakhani()
+    assert len(texts) == 63 == len(set(texts))
+
+
 def test_dimacs_ignores_a_name_comment_in_a_second_spelling():
     # 'plain:00' is no id, so index 1 keeps its default name.
     g = graphio.graph_from_dimacs("c 1 plain:00\np edge 2 1\ne 1 2\n")

@@ -63,6 +63,16 @@ def test_building_m_loads_only_graph_and_build():
     assert loaded_after(code) == {"colorlab", "colorlab.build", "colorlab.graph"}
 
 
+def test_importing_build_builds_nothing():
+    # Each fixed object is built on its first call and then shared.
+    code = (
+        "import colorlab.build as b\n"
+        "builders = (b.wheel4, b.gadget, b.mirzakhani, b.wheel_lists, b.canonical_lists)\n"
+        "assert [f.cache_info().currsize for f in builders] == [0] * 5"
+    )
+    assert loaded_after(code) == {"colorlab", "colorlab.build", "colorlab.graph"}
+
+
 def test_the_audit_command_leaves_proof_graphio_and_fractions_out():
     loaded = after_command("audit")
     assert "colorlab.verify" in loaded

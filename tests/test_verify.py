@@ -9,7 +9,7 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colorlab import verify
+from colorlab import engine, graph, verify
 from colorlab.build import canonical_lists, mirzakhani, wheel4
 from colorlab.choose import SplitMix64
 from colorlab.graph import (
@@ -23,6 +23,7 @@ from colorlab.graph import (
     plain,
 )
 from colorlab.cli import _exit_code
+from colorlab.graphio import graph_from_json, graph_to_json
 from colorlab.verify import (
     CLAIMS,
     apex_embed,
@@ -725,6 +726,53 @@ def test_audit_is_deterministic():
     first = audit().to_json()
     assert first == audit().to_json()
     assert hashlib.sha256(first.encode()).hexdigest() == AUDIT_SHA256
+
+
+def test_the_audit_of_a_copy_of_m_is_byte_identical():
+    # A distinct graph object, so nothing derived from M is cached on it.
+    copy = graph_from_json(graph_to_json(mirzakhani()))
+    assert copy is not mirzakhani() and "apex_deleted" not in vars(copy)
+    assert audit(copy).to_json() == audit().to_json()
+
+
+def test_every_audit_runs_every_search(monkeypatch):
+    # The construction is shared between audits; no search result is.
+    calls = []
+
+    def recording(name, fn, work):
+        def wrapped(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            calls.append((name, work(result)))
+            return result
+
+        return wrapped
+
+    color = recording("color", engine.solve_colors, lambda r: r[2:5])
+    ham = recording("hamilton", verify.hamilton_cycle, lambda r: r[2])
+    monkeypatch.setattr(engine, "solve_colors", color)
+    monkeypatch.setattr(verify, "hamilton_cycle", ham)
+    first = audit().to_json()
+    once = list(calls)
+    assert audit().to_json() == first
+    assert calls == once + once
+    assert {name for name, _ in once} == {"color", "hamilton"}
+
+
+def test_the_apex_claims_build_m_minus_apex_once(monkeypatch):
+    g = graph_from_json(graph_to_json(mirzakhani()))  # nothing cached on it yet
+    deleted = []
+
+    def recording(h, remove):
+        remove = list(remove)
+        deleted.append(remove)
+        return delete_vertices(h, remove)
+
+    for module in (graph, verify):
+        monkeypatch.setattr(module, "delete_vertices", recording)
+    apex_embed(g)
+    assert run_claim("apex-deleted-not-hamiltonian", g)[0]
+    assert run_claim("apex-deleted-perfect-matching", g)[0]
+    assert deleted.count([apex()]) == 1
 
 
 def test_run_claim_records_a_raised_error_as_a_failure():
