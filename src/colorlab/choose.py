@@ -7,6 +7,11 @@ out of exact reach with seeded random trials.  A k-choosability verdict is
 always relative to the color pool the lists were drawn from; there is no
 cheap universal pool-size bound, so the pool is an explicit parameter and
 travels with every report.
+
+A probe's trials are independent, so random_probe decides them in up to one
+process per available CPU, forked with os.fork; its report is the same for
+any number of processes.  The exhaustive analysis stays in one process: its
+verdict is the first UNSAT assignment in order, under one shared budget.
 """
 
 from __future__ import annotations
@@ -15,7 +20,9 @@ import functools
 import itertools
 import json
 import math
+import os
 import struct
+import sys
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from colorlab import engine
@@ -395,6 +402,119 @@ def default_pool(k: int) -> tuple[int, ...]:
     return tuple(range(1, 2 * k + 1))
 
 
+# The fewest trials worth a forked process: a trial on M takes about 0.2 ms,
+# a fork, a pipe write and a waitpid about 1.5 ms.
+MIN_TRIALS_PER_WORKER = 64
+# The most trials in one round of random_probe.  The masks of a round's
+# forked slices are drawn before the forks and held at once.
+PROBE_ROUND = 4096
+
+
+def _workers(trials: int) -> int:
+    """How many processes decide `trials` probe trials: one per available
+    CPU, each with at least MIN_TRIALS_PER_WORKER trials, and at least one.
+
+    One alone where os has no fork, or where other threads run: a child
+    forked from a threaded process may inherit a lock that a thread held.
+    """
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading and threading.active_count() > 1):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity outside Linux
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, trials // MIN_TRIALS_PER_WORKER))
+
+
+def _decide_trial(g: Graph, masks: Sequence[int], t: int, budget: int) -> int:
+    """The kernel status of trial t; a spent budget raises BudgetExhausted."""
+    status, _ = _decide_masks(g, masks, budget)
+    if status == engine.EXHAUSTED:
+        raise BudgetExhausted(f"trial {t} undecided within {budget} nodes; probe aborted")
+    return status
+
+
+def _fork_slice(g: Graph, trials: range, masks: list, budget: int) -> tuple[int, int]:
+    """(pid, pipe read end) of a forked child that decides `trials` from
+    their masks and writes "<SAT count> <first failing trial or -1>".
+
+    An exception in the child fails the trial it was deciding.  The child
+    leaves through os._exit, so it flushes no stdio buffer it inherited and
+    runs no atexit handler.
+    """
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(rfd)
+        os.close(wfd)
+        raise
+    if pid:
+        os.close(wfd)
+        return pid, rfd
+    try:
+        sat = 0
+        try:
+            for t, m in zip(trials, masks):
+                failed = t
+                sat += _decide_trial(g, m, t, budget) == engine.SAT
+            failed = -1
+        except Exception:
+            pass
+        os.write(wfd, f"{sat} {failed}".encode())
+    finally:
+        os._exit(0)
+
+
+def _probe_round(g: Graph, trial_masks, base: int, trials: range, budget: int) -> int:
+    """The SAT count of `trials`, decided in contiguous slices: the first in
+    this process, each other in a forked child (see _workers).
+
+    This process draws every trial's masks in trial order, the children's
+    before the forks, so seeding stays here.  The error raised is that of
+    the first failing trial in trial order, decided again here.  No child
+    outlives the call: one not yet joined is killed and reaped.
+    """
+    workers = min(_workers(len(trials)), len(trials))
+    cuts = [trials.start + len(trials) * i // workers for i in range(workers + 1)]
+    own, *forked = (range(a, b) for a, b in zip(cuts, cuts[1:]))
+    masks = {t: trial_masks(base ^ t) for t in range(cuts[1], trials.stop)}
+    if forked:  # the integer form, built here rather than in each child
+        g.int_adj, g.int_order, g.int_edges  # noqa: B018
+    pending: list[tuple[range, int, int]] = []  # children not yet reaped
+    try:
+        for s in forked:
+            pending.append((s, *_fork_slice(g, s, [masks[t] for t in s], budget)))
+        sat = sum(
+            _decide_trial(g, trial_masks(base ^ t), t, budget) == engine.SAT for t in own
+        )
+        while pending:
+            s, pid, rfd = pending[0]
+            # One write of fewer than PIPE_BUF bytes: one read takes it whole.
+            reply = os.read(rfd, 64).split()
+            os.waitpid(pid, 0)
+            del pending[0]
+            os.close(rfd)
+            where = f"probe worker for trials {s.start}..{s.stop - 1}"
+            if len(reply) != 2:
+                raise RuntimeError(f"{where} exited without a result")
+            count, failed = map(int, reply)
+            if failed >= 0:
+                _decide_trial(g, masks[failed], failed, budget)
+                raise RuntimeError(f"{where} failed at trial {failed}, which does not fail here")
+            sat += count
+        return sat
+    finally:
+        if pending:
+            import signal
+
+            for _, pid, rfd in pending:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(rfd)
+
+
 def random_probe(
     g: Graph,
     k: int,
@@ -422,6 +542,12 @@ def random_probe(
     same stream that SplitMix64(mix(seed) ^ t).sample would consume, in the
     same order with the same rejections, but computed up to DRAW_LANES
     outputs at a time in the 128-bit lanes of one packed int.
+
+    The trials run in rounds of at most PROBE_ROUND.  A round's trials are
+    cut into contiguous slices, one per worker process (see _workers): the
+    first is decided here, each other in a child forked with os.fork that
+    replays its own SAT witnesses.  The report, and the error a failing
+    trial raises, are the same for any number of workers.
     """
     colors = sorted(set(pool)) if pool is not None else list(default_pool(k))
     _check_pool(k, colors)
@@ -432,14 +558,10 @@ def random_probe(
         raise GraphError(f"seed must be in [0, 2**64), got {seed}")
     trial_masks = _mask_draws(g.n, k, len(colors))
     base = _mix(seed, _M64)
-    successes = 0
-    for t in range(trials):
-        status, _ = _decide_masks(g, trial_masks(base ^ t), budget)
-        if status == engine.EXHAUSTED:
-            raise BudgetExhausted(
-                f"trial {t} undecided within {budget} nodes; probe aborted"
-            )
-        successes += status == engine.SAT
+    successes = sum(
+        _probe_round(g, trial_masks, base, range(start, min(start + PROBE_ROUND, trials)), budget)
+        for start in range(0, trials, PROBE_ROUND)
+    )
     return ProbeReport(
         graph=f"{g.n} vertices, {g.m} edges",
         k=k,

@@ -99,6 +99,31 @@ def test_the_probe_command_on_integer_coordinates_leaves_fractions_out(tmp_path)
     assert "fractions" not in loaded
 
 
+def test_the_forked_probe_command_loads_no_process_pool_or_pickle(tmp_path):
+    # The probe forks with os.fork alone: multiprocessing, concurrent.futures
+    # and pickle would add their import time to every cold probe.
+    graph = tmp_path / "m.json"
+    graph.write_text(graphio.graph_to_json(mirzakhani()))
+    code = (
+        "import contextlib, io, os\n"
+        "real_fork, forks = os.fork, []\n"
+        "def counting_fork():\n"
+        "    pid = real_fork()\n"
+        "    forks.append(pid)\n"
+        "    return pid\n"
+        "os.fork = counting_fork\n"
+        "from colorlab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        "from colorlab import choose\n"
+        "assert len(forks) == choose._workers(1000) - 1, forks\n"
+        "pools = {'multiprocessing', 'concurrent.futures', 'pickle'} & set(sys.modules)\n"
+        "assert not pools, sorted(pools)"
+    )
+    argv = ("choosability", "--graph", str(graph), "--probe", "--k", "3", "--trials", "1000")
+    assert "colorlab.choose" in loaded_after(code, *argv)
+
+
 # ------------------------------------------------------- the lazy namespace
 
 

@@ -8,12 +8,18 @@ make_lists and one decide per trial.  Reports must agree byte for byte.
 
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
+import time
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from colorlab import choose, engine
-from colorlab.build import canonical_lists, make_lists, mirzakhani, uniform_lists
+import colorlab
+from colorlab import choose, engine, graphio
+from colorlab.build import canonical_lists, gadget, make_lists, mirzakhani, uniform_lists
 from colorlab.choose import (
     ProbeReport,
     SplitMix64,
@@ -21,8 +27,15 @@ from colorlab.choose import (
     default_pool,
     random_probe,
 )
+from colorlab.cli import main
 from colorlab.graph import GraphError, make_graph, plain
-from colorlab.solve import DEFAULT_BUDGET, check_mask_witness, decide, verify_coloring
+from colorlab.solve import (
+    DEFAULT_BUDGET,
+    BudgetExhausted,
+    check_mask_witness,
+    decide,
+    verify_coloring,
+)
 
 
 def oracle_probe(g, k, trials, seed, pool=None):
@@ -417,8 +430,14 @@ def test_mask_witness_rejects(bits, match):
 # Each route replays the kernel's SAT witness before trusting it.  The path
 # is 2-choosable, so every exhaustive assignment is SAT; the doctored
 # witness colors both ends of an edge alike.
+def _probe_in_four_processes():
+    with mock.patch.object(choose, "_workers", lambda trials: 4):
+        return random_probe(mirzakhani(), 4, 200, 0)
+
+
 BAD_WITNESS_ROUTES = {
     "probe": lambda: random_probe(mirzakhani(), 4, 1, 0),
+    "forked-probe": _probe_in_four_processes,
     "exhaustive": lambda: choosability_exhaustive(_path3(), 2, range(1, 4)),
     "decide": lambda: decide(_path3(), uniform_lists(_path3(), (1, 2))),
 }
@@ -437,6 +456,251 @@ def test_raises_on_a_bad_kernel_witness(route, monkeypatch):
     monkeypatch.setattr(choose.engine, "solve_colors", colors_everything_alike)
     with pytest.raises(RuntimeError, match="invalid witness"):
         BAD_WITNESS_ROUTES[route]()
+
+
+# ----------------------------------------------------------- forked workers
+#
+# random_probe cuts each round of trials into contiguous slices, decides the
+# first in this process and each other in a forked child; choose._workers
+# says how many.  Reports and errors must not depend on that number, and no
+# child may outlive the call.
+
+WORKER_COUNTS = (1, 2, 3, 4)
+
+
+def _cycle(n):
+    vs = [plain(i) for i in range(n)]
+    return make_graph(vs, [(vs[i], vs[(i + 1) % n]) for i in range(n)])
+
+
+def assert_no_children():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def free_fds():
+    """The two lowest free file descriptors: the same after a call that
+    closed every pipe end it opened."""
+    fds = os.pipe()
+    for fd in fds:
+        os.close(fd)
+    return fds
+
+
+def probe_in(monkeypatch, workers, *args, **kwargs):
+    monkeypatch.setattr(choose, "_workers", lambda trials: workers)
+    return random_probe(*args, **kwargs)
+
+
+def _cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
+# (graph, k, trials, seed, pool), with trial counts that 2, 3 and 4 do not divide.
+FORKED_PROBES = {
+    "m": (mirzakhani, 3, 131, 0, (1, 2, 3, 4)),
+    "m-default-pool": (mirzakhani, 4, 67, 2**40 + 3, None),
+    "gadget": (lambda: gadget()[0], 2, 97, 5, (1, 2, 3)),
+    "k3": (lambda: _cycle(3), 2, 101, 11, (1, 2, 3)),
+    "c4": (lambda: _cycle(4), 1, 73, 1, (1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORKED_PROBES))
+def test_probe_report_is_the_same_for_any_worker_count(name, monkeypatch):
+    make, k, trials, seed, pool = FORKED_PROBES[name]
+    g = make()
+    expected = oracle_probe(g, k, trials, seed, pool).to_json()
+    for workers in WORKER_COUNTS:
+        got = probe_in(monkeypatch, workers, g, k, trials, seed, pool=pool)
+        assert got.to_json() == expected, workers
+    assert_no_children()
+
+
+def test_probe_on_small_graphs_is_the_same_for_any_worker_count(monkeypatch):
+    for seed in range(12):
+        g, rng = random_graph(seed)
+        k = 1 + rng.below(3)
+        pool = tuple(range(1, k + 1 + rng.below(3)))
+        trials = 1 + rng.below(80)  # some below the worker count
+        expected = oracle_probe(g, k, trials, seed, pool).to_json()
+        for workers in WORKER_COUNTS:
+            got = probe_in(monkeypatch, workers, g, k, trials, seed, pool=pool)
+            assert got.to_json() == expected, (seed, workers)
+    assert_no_children()
+
+
+def test_a_probe_of_several_rounds_is_the_same_for_any_worker_count(monkeypatch):
+    g = _cycle(3)
+    trials = choose.PROBE_ROUND + 37
+    expected = oracle_probe(g, 2, trials, 9, (1, 2, 3))
+    assert 0 < expected.successes < trials
+    for workers in WORKER_COUNTS:
+        got = probe_in(monkeypatch, workers, g, 2, trials, 9, pool=(1, 2, 3))
+        assert got.to_json() == expected.to_json(), workers
+    assert_no_children()
+
+
+def test_probe_pinned_successes_on_m_for_any_worker_count(monkeypatch):
+    for workers in WORKER_COUNTS:
+        got = probe_in(monkeypatch, workers, mirzakhani(), 3, 1000, 0, pool=(1, 2, 3, 4))
+        assert got.successes == 649, workers
+    assert_no_children()
+
+
+def test_workers_one_per_cpu_each_with_enough_trials():
+    least = choose.MIN_TRIALS_PER_WORKER
+    assert choose._workers(0) == choose._workers(least - 1) == 1
+    assert choose._workers(2 * least) == min(2, _cpus())
+    assert choose._workers(10**9) == _cpus()
+
+
+def test_workers_stay_one_while_another_thread_runs():
+    import threading
+
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert choose._workers(10**9) == 1
+    finally:
+        done.set()
+        thread.join()
+
+
+def test_the_probe_forks_once_per_extra_worker(monkeypatch):
+    real_fork, forks = os.fork, []
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    fds = free_fds()
+    assert random_probe(mirzakhani(), 3, 1000, 0, pool=(1, 2, 3, 4)).successes == 649
+    assert len(forks) == choose._workers(1000) - 1
+    assert free_fds() == fds
+    forks.clear()
+    monkeypatch.setattr(choose, "_workers", lambda trials: 1)
+    random_probe(mirzakhani(), 3, 30, 0, pool=(1, 2, 3, 4))
+    assert forks == []
+    assert_no_children()
+
+
+def test_a_budget_spent_in_a_child_raises_the_serial_error(monkeypatch):
+    # Within 49 nodes trials 0-891 decide and trial 892 (54 nodes) does not:
+    # a trial in the last slice for 2, 3 and 4 workers.
+    messages = set()
+    for workers in WORKER_COUNTS:
+        with pytest.raises(BudgetExhausted) as err:
+            probe_in(monkeypatch, workers, mirzakhani(), 3, 1000, 0, pool=(1, 2, 3, 4), budget=49)
+        messages.add(str(err.value))
+        assert_no_children()
+    assert messages == {"trial 892 undecided within 49 nodes; probe aborted"}
+
+
+def test_a_bad_witness_in_a_child_raises_the_serial_error(monkeypatch):
+    # Only trial 750's witness is doctored, in whichever process decides it:
+    # a SAT trial in the last slice for 2, 3 and 4 workers.
+    g = mirzakhani()
+    bad = choose._mask_draws(g.n, 3, 4)(750)
+    assert choose._decide_masks(g, bad, DEFAULT_BUDGET)[0] == engine.SAT
+    real = choose.engine.solve_colors
+
+    def doctors_trial_750(adj, order, domains, budget, mode):
+        status, bits, *rest = real(adj, order, domains, budget, mode)
+        if bits is not None and list(domains) == bad:
+            bits = (bits[0],) * len(adj)
+        return (status, bits, *rest)
+
+    monkeypatch.setattr(choose.engine, "solve_colors", doctors_trial_750)
+    messages = set()
+    for workers in WORKER_COUNTS:
+        with pytest.raises(RuntimeError, match="invalid witness") as err:
+            probe_in(monkeypatch, workers, g, 3, 1000, 0, pool=(1, 2, 3, 4))
+        messages.add(str(err.value))
+        assert_no_children()
+    assert len(messages) == 1
+
+
+@pytest.mark.parametrize(
+    "in_child, match",
+    [
+        (lambda: 1 // 0, "failed at trial 100, which does not fail here"),
+        (lambda: os._exit(1), "exited without a result"),
+    ],
+)
+def test_a_child_failure_that_does_not_recur_here_names_its_trials(in_child, match, monkeypatch):
+    parent, real = os.getpid(), choose._decide_masks
+
+    def fails_in_children(g, masks, budget):
+        if os.getpid() != parent:
+            in_child()
+        return real(g, masks, budget)
+
+    monkeypatch.setattr(choose, "_decide_masks", fails_in_children)
+    with pytest.raises(RuntimeError, match=f"^probe worker for trials 100\\.\\.199 {match}$"):
+        probe_in(monkeypatch, 2, mirzakhani(), 3, 200, 0, pool=(1, 2, 3, 4))
+    assert_no_children()
+
+
+def test_children_still_running_are_killed_when_this_process_raises(monkeypatch):
+    parent, real = os.getpid(), choose._decide_masks
+
+    def stalls_in_children(g, masks, budget):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return real(g, masks, budget)
+
+    monkeypatch.setattr(choose, "_decide_masks", stalls_in_children)
+    fds, start = free_fds(), time.monotonic()
+    with pytest.raises(BudgetExhausted, match="^trial 0 undecided within 1 nodes"):
+        probe_in(monkeypatch, 4, mirzakhani(), 3, 400, 0, pool=(1, 2, 3, 4), budget=1)
+    assert time.monotonic() - start < 30
+    assert_no_children()
+    assert free_fds() == fds
+
+
+def test_probe_budget_spent_in_this_process_exits_3_and_leaves_no_child(
+    tmp_path, capsys, monkeypatch
+):
+    graph = tmp_path / "m.json"
+    graph.write_text(graphio.graph_to_json(mirzakhani()))
+    monkeypatch.setattr(choose, "_workers", lambda trials: 4)
+    code = main(
+        ["choosability", "--graph", str(graph), "--probe", "--k", "3",
+         "--trials", "1000", "--budget", "1"]
+    )
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "budget exhausted: trial 0 undecided within 1 nodes; probe aborted\n"
+    assert_no_children()
+
+
+def test_children_flush_no_inherited_output_and_run_no_exit_handler():
+    # stdout is a pipe, so block-buffered (PYTHONUNBUFFERED is dropped): a
+    # child that flushed its copy of the buffer, or ran the exit handler,
+    # would print it again.
+    code = (
+        "import atexit, sys\n"
+        "from colorlab import choose\n"
+        "from colorlab.build import mirzakhani\n"
+        "choose._workers = lambda trials: 4\n"
+        "atexit.register(print, 'exit handler')\n"
+        "sys.stdout.write('buffered ')\n"
+        "print(choose.random_probe(mirzakhani(), 3, 200, 0, pool=(1, 2, 3, 4)).successes)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(colorlab.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "buffered 129\nexit handler\n"
 
 
 def test_verify_coloring_lists_edge_violations_in_edge_order():
