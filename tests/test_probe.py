@@ -121,6 +121,8 @@ def test_probe_seeds_do_not_share_trials(monkeypatch):
 
     monkeypatch.setattr(choose, "_mask_draws", recording_draws)
     monkeypatch.setattr(choose, "_decide_masks", lambda g, masks, budget: (engine.SAT, None))
+    # A forked child's draws never reach `seen`, so every trial is drawn here.
+    monkeypatch.setattr(choose, "_workers", lambda trials: 1)
     trial_seeds, first_masks = [], []
     for seed in range(8):
         seen.clear()
@@ -460,7 +462,7 @@ def test_raises_on_a_bad_kernel_witness(route, monkeypatch):
 
 # ----------------------------------------------------------- forked workers
 #
-# random_probe cuts each round of trials into contiguous slices, decides the
+# random_probe cuts its trials into contiguous slices, draws and decides the
 # first in this process and each other in a forked child; choose._workers
 # says how many.  Reports and errors must not depend on that number, and no
 # child may outlive the call.
@@ -486,6 +488,20 @@ def free_fds():
     for fd in fds:
         os.close(fd)
     return fds
+
+
+def count_forks(monkeypatch):
+    """The pids of the children os.fork makes from here on."""
+    real_fork, forks = os.fork, []
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
 
 
 def probe_in(monkeypatch, workers, *args, **kwargs):
@@ -533,14 +549,64 @@ def test_probe_on_small_graphs_is_the_same_for_any_worker_count(monkeypatch):
     assert_no_children()
 
 
-def test_a_probe_of_several_rounds_is_the_same_for_any_worker_count(monkeypatch):
+def test_a_probe_of_4133_trials_forks_once_per_extra_worker(monkeypatch):
+    # All trials run in one pass, however many: no process holds another's lists.
     g = _cycle(3)
-    trials = choose.PROBE_ROUND + 37
+    trials = 4096 + 37
     expected = oracle_probe(g, 2, trials, 9, (1, 2, 3))
     assert 0 < expected.successes < trials
+    forks, fds = count_forks(monkeypatch), free_fds()
     for workers in WORKER_COUNTS:
+        forks.clear()
         got = probe_in(monkeypatch, workers, g, 2, trials, 9, pool=(1, 2, 3))
         assert got.to_json() == expected.to_json(), workers
+        assert len(forks) == workers - 1, workers
+    assert_no_children()
+    assert free_fds() == fds
+
+
+def test_a_probe_of_no_trials_reports_0_and_forks_nothing(monkeypatch):
+    forks = count_forks(monkeypatch)
+    for workers in WORKER_COUNTS:
+        got = probe_in(monkeypatch, workers, mirzakhani(), 3, 0, 0, pool=(1, 2, 3, 4))
+        assert (got.trials, got.successes) == (0, 0), workers
+    assert forks == []
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_this_process_draws_only_its_own_slice(workers, monkeypatch):
+    parent, real_draws, seeds = os.getpid(), choose._mask_draws, []
+
+    def recording_draws(n, k, ncolors):
+        draws = real_draws(n, k, ncolors)
+
+        def trial_masks(trial_seed):
+            if os.getpid() == parent:
+                seeds.append(trial_seed)
+            return draws(trial_seed)
+
+        return trial_masks
+
+    monkeypatch.setattr(choose, "_mask_draws", recording_draws)
+    got = probe_in(monkeypatch, workers, mirzakhani(), 3, 1000, 0, pool=(1, 2, 3, 4))
+    assert got.successes == 649
+    assert seeds == [mix64(0) ^ t for t in range(1000 // workers)]
+    assert_no_children()
+
+
+def test_this_process_holds_no_lists_of_a_forked_slice(monkeypatch):
+    import tracemalloc
+
+    g = mirzakhani()
+    g.int_adj, g.int_order, g.int_edges  # built before tracing
+    monkeypatch.setattr(choose, "_workers", lambda trials: 2)
+    tracemalloc.start()
+    try:
+        random_probe(g, 5, 1024, 0, pool=range(1, 11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 250_000, peak  # bytes; holding the forked slice's lists here takes 1.2 MB
     assert_no_children()
 
 
@@ -572,16 +638,7 @@ def test_workers_stay_one_while_another_thread_runs():
 
 
 def test_the_probe_forks_once_per_extra_worker(monkeypatch):
-    real_fork, forks = os.fork, []
-
-    def counting_fork():
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    fds = free_fds()
+    forks, fds = count_forks(monkeypatch), free_fds()
     assert random_probe(mirzakhani(), 3, 1000, 0, pool=(1, 2, 3, 4)).successes == 649
     assert len(forks) == choose._workers(1000) - 1
     assert free_fds() == fds
