@@ -9,11 +9,11 @@ cheap universal pool-size bound, so the pool is an explicit parameter and
 travels with every report.
 
 A probe's trials are independent, so random_probe decides them in up to one
-process per available CPU, forked with os.fork.  Trial t's lists are a
-function of mix(seed) ^ t alone, so each process draws only its own slice of
-trials, and the report is the same for any number of processes.  The
-exhaustive analysis stays in one process: its verdict is the first UNSAT
-assignment in order, under one shared budget.
+process per available CPU, forked with os.fork, each claiming chunks of
+trials from one pipe.  Trial t's lists are a function of mix(seed) ^ t alone,
+so each process draws only the trials it claims, and the report is the same
+for any number of processes.  The exhaustive analysis stays in one process:
+its verdict is the first UNSAT assignment in order, under one shared budget.
 """
 
 from __future__ import annotations
@@ -434,15 +434,18 @@ def _decide_trial(g: Graph, masks: Sequence[int], t: int, budget: int) -> int:
     return status
 
 
-def _fork_slice(g: Graph, trial_masks, base: int, trials: range, budget: int) -> tuple[int, int]:
-    """(pid, pipe read end) of a forked child that draws and decides
-    `trials`, trial t from trial_masks(base ^ t), and writes
-    "<SAT count> <first failing trial or -1>".
+# The trials a probe process claims at a time: about 3 ms of work on M.
+CHUNK = 16
+# A chunk's token is its 4-byte index, and one write of at most 4,096 token
+# bytes (PIPE_BUF on Linux, below every default pipe capacity) cannot block:
+# a probe of more than MAX_CHUNKS chunks of CHUNK gets larger chunks.
+MAX_CHUNKS = 1024
 
-    An exception in the child fails the trial it was drawing or deciding.
-    The child leaves through os._exit, so it flushes no stdio buffer it
-    inherited and runs no atexit handler.
-    """
+
+def _fork_claims(claims) -> tuple[int, int]:
+    """(pid, pipe read end) of a forked child that runs claims(decided),
+    writes "<SAT count> <first failing trial or -1>" in one write and leaves
+    through os._exit: it flushes no inherited stdio buffer, runs no atexit handler."""
     rfd, wfd = os.pipe()
     try:
         pid = os.fork()
@@ -454,15 +457,9 @@ def _fork_slice(g: Graph, trial_masks, base: int, trials: range, budget: int) ->
         os.close(wfd)
         return pid, rfd
     try:
-        sat = 0
-        try:
-            for t in trials:
-                failed = t
-                sat += _decide_trial(g, trial_masks(base ^ t), t, budget) == engine.SAT
-            failed = -1
-        except Exception:
-            pass
-        os.write(wfd, f"{sat} {failed}".encode())
+        decided: list[int] = []
+        sat, err = claims(decided)
+        os.write(wfd, f"{sat} {decided[-1] if err else -1}".encode())
     finally:
         os._exit(0)
 
@@ -495,14 +492,11 @@ def random_probe(
     same order with the same rejections, but computed up to DRAW_LANES
     outputs at a time in the 128-bit lanes of one packed int.
 
-    The trials are cut into contiguous slices, one per worker process (see
-    _workers): the first is drawn and decided here, each other in a child
-    forked with os.fork that draws its own trials and replays its own SAT
-    witnesses, so no process holds another's lists.  The report, and the
-    error a failing trial raises, are the same for any number of workers:
-    that of the first failing trial in trial order, drawn and decided again
-    here if a child failed it.  No child outlives the call: one not yet
-    joined is killed and reaped.
+    The trials are cut into chunks of CHUNK, one token each in a pipe, and
+    this process and its forked children (see _workers) claim chunks by
+    reading tokens in order; each draws and decides only its own claims.
+    The report, and the error of the first failing trial in trial order,
+    are the same for any number of workers.  No child outlives the call.
     """
     colors = sorted(set(pool)) if pool is not None else list(default_pool(k))
     _check_pool(k, colors)
@@ -513,46 +507,52 @@ def random_probe(
         raise GraphError(f"seed must be in [0, 2**64), got {seed}")
     trial_masks = _mask_draws(g.n, k, len(colors))
     base = _mix(seed, _M64)
-    workers = max(1, min(_workers(trials), trials))
-    cuts = [trials * i // workers for i in range(workers + 1)]
-    own, *forked = (range(a, b) for a, b in zip(cuts, cuts[1:]))
-    if forked:  # the integer form, built here rather than in each child
-        g.int_adj, g.int_order, g.int_edges  # noqa: B018
-    pending: list[tuple[range, int, int]] = []  # children not yet reaped
-    try:
-        for s in forked:
-            pending.append((s, *_fork_slice(g, trial_masks, base, s, budget)))
-        successes = sum(
-            _decide_trial(g, trial_masks(base ^ t), t, budget) == engine.SAT for t in own
-        )
-        while pending:
-            s, pid, rfd = pending[0]
-            # One write of fewer than PIPE_BUF bytes: one read takes it whole.
-            reply = os.read(rfd, 64).split()
-            os.waitpid(pid, 0)
-            del pending[0]
-            os.close(rfd)
-            where = f"probe worker for trials {s.start}..{s.stop - 1}"
-            if len(reply) != 2:
-                raise RuntimeError(f"{where} exited without a result")
-            count, failed = map(int, reply)
-            if failed >= 0:
-                _decide_trial(g, trial_masks(base ^ failed), failed, budget)
-                raise RuntimeError(f"{where} failed at trial {failed}, which does not fail here")
-            successes += count
-    finally:
-        if pending:
-            import signal
+    chunk = max(CHUNK, -(-trials // MAX_CHUNKS))
+    chunks = -(-trials // chunk)
+    workers = max(1, min(_workers(trials), chunks))
+    g.int_adj, g.int_order, g.int_edges  # the integer form, built before any fork  # noqa: B018
 
-            for _, pid, rfd in pending:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                os.close(rfd)
-    return ProbeReport(
-        graph=f"{g.n} vertices, {g.m} edges",
-        k=k,
-        trials=trials,
-        successes=successes,
-        seed=seed,
-        pool=tuple(colors),
-    )
+    def claims(decided: list[int]) -> tuple[int, Optional[Exception]]:
+        # decided[-1] is the first failing trial, which ends the claims.
+        sat = 0
+        try:
+            while token := os.read(tokens, 4):
+                start = int.from_bytes(token, "little") * chunk
+                for t in range(start, min(start + chunk, trials)):
+                    decided.append(t)
+                    sat += _decide_trial(g, trial_masks(base ^ t), t, budget) == engine.SAT
+        except Exception as err:
+            return sat, err
+        return sat, None
+
+    tokens, wfd = os.pipe()
+    pending: list[tuple[int, int]] = []  # children not yet reaped
+    decided: list[int] = []  # the trials this process decides
+    try:
+        try:
+            os.write(wfd, struct.pack(f"<{chunks}I", *range(chunks)))
+        finally:
+            os.close(wfd)  # before any fork: end of file once every token is read
+        for _ in range(workers - 1):
+            pending.append(_fork_claims(claims))
+        successes, err = claims(decided)
+        replies = [os.read(rfd, 64).split() for _, rfd in pending] if err is None else []
+    finally:
+        for pid, rfd in pending:  # killed at once, if not yet exited, and reaped
+            os.kill(pid, 9)  # SIGKILL on every POSIX system
+            os.waitpid(pid, 0)
+            os.close(rfd)
+        os.close(tokens)
+    if err is not None:
+        # The earlier trials the killed children claimed, decided here in order.
+        for t in sorted(set(range(max(decided, default=0))).difference(decided)):
+            _decide_trial(g, trial_masks(base ^ t), t, budget)
+        raise err
+    if any(len(reply) != 2 for reply in replies):
+        raise RuntimeError("a probe worker exited without a result")
+    successes += sum(int(count) for count, _ in replies)
+    t = min((int(t) for _, t in replies if t != b"-1"), default=-1)
+    if t >= 0:  # every earlier chunk was claimed first, so decided
+        _decide_trial(g, trial_masks(base ^ t), t, budget)
+        raise RuntimeError(f"a probe worker failed at trial {t}, which does not fail here")
+    return ProbeReport(f"{g.n} vertices, {g.m} edges", k, trials, successes, seed, tuple(colors))

@@ -462,10 +462,10 @@ def test_raises_on_a_bad_kernel_witness(route, monkeypatch):
 
 # ----------------------------------------------------------- forked workers
 #
-# random_probe cuts its trials into contiguous slices, draws and decides the
-# first in this process and each other in a forked child; choose._workers
-# says how many.  Reports and errors must not depend on that number, and no
-# child may outlive the call.
+# random_probe cuts its trials into chunks, and this process and its forked
+# children claim them from one pipe and draw and decide what they claim;
+# choose._workers says how many processes.  Reports and errors must not
+# depend on that number, and no child may outlive the call.
 
 WORKER_COUNTS = (1, 2, 3, 4)
 
@@ -573,25 +573,94 @@ def test_a_probe_of_no_trials_reports_0_and_forks_nothing(monkeypatch):
     assert forks == []
 
 
-@pytest.mark.parametrize("workers", [2, 3, 4])
-def test_this_process_draws_only_its_own_slice(workers, monkeypatch):
-    parent, real_draws, seeds = os.getpid(), choose._mask_draws, []
+def record_draws(monkeypatch, path):
+    """Make every process append "<pid> <trial seed>" to path for each trial
+    it draws; return a function that reads the records back."""
+    real_draws = choose._mask_draws
 
     def recording_draws(n, k, ncolors):
         draws = real_draws(n, k, ncolors)
 
         def trial_masks(trial_seed):
-            if os.getpid() == parent:
-                seeds.append(trial_seed)
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+            try:
+                os.write(fd, f"{os.getpid()} {trial_seed}\n".encode())
+            finally:
+                os.close(fd)
             return draws(trial_seed)
 
         return trial_masks
 
     monkeypatch.setattr(choose, "_mask_draws", recording_draws)
+
+    def records():
+        if not path.exists():
+            return []
+        return [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
+
+    return records
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_every_trial_is_drawn_once_and_this_process_claims_whole_chunks(
+    workers, tmp_path, monkeypatch
+):
+    records = record_draws(monkeypatch, tmp_path / "draws")
     got = probe_in(monkeypatch, workers, mirzakhani(), 3, 1000, 0, pool=(1, 2, 3, 4))
     assert got.successes == 649
-    assert seeds == [mix64(0) ^ t for t in range(1000 // workers)]
     assert_no_children()
+    drawn = records()
+    assert sorted(seed for _, seed in drawn) == sorted(mix64(0) ^ t for t in range(1000))
+    mine = [seed for pid, seed in drawn if pid == os.getpid()]  # mix64(0) = 0: seed t is trial t
+    starts = sorted({t - t % choose.CHUNK for t in mine})
+    assert mine == [t for s in starts for t in range(s, min(s + choose.CHUNK, 1000))]
+    assert len({pid for pid, _ in drawn}) <= workers
+
+
+def test_a_probe_of_more_chunks_than_tokens_grows_its_chunks(monkeypatch):
+    # 2 * MAX_CHUNKS * CHUNK trials: 2,048 chunks of CHUNK, but the tokens
+    # go in one write of at most 4,096 bytes, so 1,024 chunks of 2 * CHUNK.
+    g, trials = _cycle(3), 2 * choose.MAX_CHUNKS * choose.CHUNK
+    expected = oracle_probe(g, 2, trials, 9, (1, 2, 3))
+    assert 0 < expected.successes < trials
+    parent, real_write, written = os.getpid(), os.write, []
+
+    def recording_write(fd, data):
+        if os.getpid() == parent:
+            written.append(len(data))
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "write", recording_write)
+    fds = free_fds()
+    for workers in WORKER_COUNTS:
+        written.clear()
+        got = probe_in(monkeypatch, workers, g, 2, trials, 9, pool=(1, 2, 3))
+        assert got.to_json() == expected.to_json(), workers
+        assert written == [4096], workers
+    assert_no_children()
+    assert free_fds() == fds
+
+
+def test_a_child_that_claims_no_chunk_still_gives_the_report(tmp_path, monkeypatch):
+    # The child waits in os.fork until this process has drawn every trial.
+    g, trials = _cycle(3), 200
+    records = record_draws(monkeypatch, tmp_path / "draws")
+    real_fork = os.fork
+
+    def late_fork():
+        pid = real_fork()
+        deadline = time.monotonic() + 30
+        while not pid and len(records()) < trials and time.monotonic() < deadline:
+            time.sleep(0.005)
+        return pid
+
+    monkeypatch.setattr(os, "fork", late_fork)
+    fds = free_fds()
+    got = probe_in(monkeypatch, 2, g, 2, trials, 0, pool=(1, 2, 3))
+    assert got.to_json() == oracle_probe(g, 2, trials, 0, (1, 2, 3)).to_json()
+    assert {pid for pid, _ in records()} == {os.getpid()}
+    assert_no_children()
+    assert free_fds() == fds
 
 
 def test_this_process_holds_no_lists_of_a_forked_slice(monkeypatch):
@@ -606,7 +675,7 @@ def test_this_process_holds_no_lists_of_a_forked_slice(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 250_000, peak  # bytes; holding the forked slice's lists here takes 1.2 MB
+    assert peak < 250_000, peak  # bytes; holding a child's lists here takes 1.2 MB
     assert_no_children()
 
 
@@ -650,8 +719,8 @@ def test_the_probe_forks_once_per_extra_worker(monkeypatch):
 
 
 def test_a_budget_spent_in_a_child_raises_the_serial_error(monkeypatch):
-    # Within 49 nodes trials 0-891 decide and trial 892 (54 nodes) does not:
-    # a trial in the last slice for 2, 3 and 4 workers.
+    # Within 49 nodes trials 0-891 decide and trial 892 (54 nodes) does not,
+    # whichever process claims it.
     messages = set()
     for workers in WORKER_COUNTS:
         with pytest.raises(BudgetExhausted) as err:
@@ -663,7 +732,7 @@ def test_a_budget_spent_in_a_child_raises_the_serial_error(monkeypatch):
 
 def test_a_bad_witness_in_a_child_raises_the_serial_error(monkeypatch):
     # Only trial 750's witness is doctored, in whichever process decides it:
-    # a SAT trial in the last slice for 2, 3 and 4 workers.
+    # a SAT trial that any process may claim.
     g = mirzakhani()
     bad = choose._mask_draws(g.n, 3, 4)(750)
     assert choose._decide_masks(g, bad, DEFAULT_BUDGET)[0] == engine.SAT
@@ -685,24 +754,46 @@ def test_a_bad_witness_in_a_child_raises_the_serial_error(monkeypatch):
     assert len(messages) == 1
 
 
+def fork_after_each_claim(monkeypatch, tmp_path):
+    """Make os.fork return in this process only once the child has called
+    the returned function, as it does on deciding its first trial."""
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        deadline = time.monotonic() + 30
+        while pid and not (tmp_path / str(pid)).exists() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return lambda: (tmp_path / str(os.getpid())).touch()
+
+
 @pytest.mark.parametrize(
     "in_child, match",
     [
-        (lambda: 1 // 0, "failed at trial 100, which does not fail here"),
+        (lambda: 1 // 0, "failed at trial 0, which does not fail here"),
         (lambda: os._exit(1), "exited without a result"),
     ],
 )
-def test_a_child_failure_that_does_not_recur_here_names_its_trials(in_child, match, monkeypatch):
+def test_a_child_failure_that_does_not_recur_here_names_its_trials(
+    in_child, match, tmp_path, monkeypatch
+):
+    # Each child claims its first chunk before its fork returns here, child
+    # 1 chunk 0 and child 2 chunk 1: the least trial that failed is named.
     parent, real = os.getpid(), choose._decide_masks
+    claimed = fork_after_each_claim(monkeypatch, tmp_path)
 
     def fails_in_children(g, masks, budget):
         if os.getpid() != parent:
+            claimed()
             in_child()
         return real(g, masks, budget)
 
     monkeypatch.setattr(choose, "_decide_masks", fails_in_children)
-    with pytest.raises(RuntimeError, match=f"^probe worker for trials 100\\.\\.199 {match}$"):
-        probe_in(monkeypatch, 2, mirzakhani(), 3, 200, 0, pool=(1, 2, 3, 4))
+    with pytest.raises(RuntimeError, match=f"^a probe worker {match}$"):
+        probe_in(monkeypatch, 3, mirzakhani(), 3, 200, 0, pool=(1, 2, 3, 4))
     assert_no_children()
 
 
@@ -718,6 +809,30 @@ def test_children_still_running_are_killed_when_this_process_raises(monkeypatch)
     fds, start = free_fds(), time.monotonic()
     with pytest.raises(BudgetExhausted, match="^trial 0 undecided within 1 nodes"):
         probe_in(monkeypatch, 4, mirzakhani(), 3, 400, 0, pool=(1, 2, 3, 4), budget=1)
+    assert time.monotonic() - start < 30
+    assert_no_children()
+    assert free_fds() == fds
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_a_failure_here_decides_the_chunks_that_killed_children_claimed(
+    workers, tmp_path, monkeypatch
+):
+    # Each child claims chunk i - 1 before fork i and stalls, so this process
+    # claims chunk workers - 1 and fails there, while trial 0 fails first.
+    parent, real = os.getpid(), choose._decide_masks
+    claimed = fork_after_each_claim(monkeypatch, tmp_path)
+
+    def stalls_in_children(g, masks, budget):
+        if os.getpid() != parent:
+            claimed()
+            time.sleep(60)
+        return real(g, masks, budget)
+
+    monkeypatch.setattr(choose, "_decide_masks", stalls_in_children)
+    fds, start = free_fds(), time.monotonic()
+    with pytest.raises(BudgetExhausted, match="^trial 0 undecided within 1 nodes"):
+        probe_in(monkeypatch, workers, mirzakhani(), 3, 400, 0, pool=(1, 2, 3, 4), budget=1)
     assert time.monotonic() - start < 30
     assert_no_children()
     assert free_fds() == fds
