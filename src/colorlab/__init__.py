@@ -26,7 +26,7 @@ _HOMES = {
         "wheel4",
         "wheel_lists",
     ),
-    "choose": ("choosability_exhaustive", "random_probe", "verify_not_choosable"),
+    "choose": ("choosability_exhaustive", "random_probe"),
     "graph": (
         "Graph",
         "GraphError",
@@ -47,6 +47,7 @@ _HOMES = {
         "decide",
         "to_cnf",
         "verify_coloring",
+        "verify_not_choosable",
     ),
     "verify": (
         "apex_embed",

@@ -1,12 +1,13 @@
 """Choosability analyses.
 
-Three levels of ambition: verify a concrete non-k-choosability witness
-(a single UNSAT solve), decide k-choosability of a small graph exhaustively
-(every list assignment up to color renaming), and probe statements that are
-out of exact reach with seeded random trials.  A k-choosability verdict is
-always relative to the color pool the lists were drawn from; there is no
-cheap universal pool-size bound, so the pool is an explicit parameter and
-travels with every report.
+Decide k-choosability of a small graph exhaustively (every list assignment
+up to color renaming), and probe statements that are out of exact reach
+with seeded random trials.  A k-choosability verdict is always relative to
+the color pool the lists were drawn from; there is no cheap universal
+pool-size bound, so the pool is an explicit parameter and travels with
+every report.  Checking one concrete non-k-choosability witness is a single
+UNSAT solve, so ``verify_not_choosable`` lives in ``colorlab.solve``, which
+the certificate layer loads without this module; it is re-exported here.
 
 A probe's trials are independent, so random_probe decides them in up to one
 process per available CPU, forked with os.fork, each claiming chunks of
@@ -28,67 +29,22 @@ import sys
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from colorlab import engine
-from colorlab.build import ListAssignment, make_lists
-from colorlab.graph import Graph, GraphError, VertexId
+from colorlab.build import make_lists
+from colorlab.graph import Graph, GraphError
 from colorlab.solve import (
     DEFAULT_BUDGET,
     BudgetExhausted,
+    ChoosabilityVerdict,
     check_mask_witness,
     check_palette,
-    decide,
 )
+from colorlab.solve import verify_not_choosable  # noqa: F401 - re-exported
+
+# Nothing here calls decide.  The benchmark's tracer wraps it by this path,
+# colorlab.choose.decide, as its solve.decide layer, so the name stays.
+from colorlab.solve import decide  # noqa: F401
 
 _M64 = (1 << 64) - 1
-
-
-class ChoosabilityVerdict(NamedTuple):
-    """Outcome of a choosability question.
-
-    kind: WitnessConfirmed | WitnessRefuted | Choosable | NotChoosable.
-    NotChoosable carries the offending assignment (all lists of size k,
-    decide = UNSAT); WitnessRefuted carries the reason and, when the reason
-    is a found coloring, that coloring.  A spent budget is never a verdict:
-    both analyses raise BudgetExhausted.
-    """
-
-    kind: str
-    reason: str = ""
-    assignment: Optional[ListAssignment] = None
-    coloring: Optional[dict[VertexId, int]] = None
-    examined: int = 0  # list assignments decided (exhaustive mode)
-    nodes: int = 0  # total search nodes spent
-    propagations: int = 0  # colors propagation struck from domains (witness mode)
-
-
-def verify_not_choosable(
-    g: Graph, lists: ListAssignment, k: int, budget: int = DEFAULT_BUDGET
-) -> ChoosabilityVerdict:
-    """Check a claimed non-k-choosability witness.
-
-    Confirmed iff every list has exactly k colors and no proper coloring
-    from the lists exists.  Budget exhaustion raises; it is never a verdict.
-    """
-    wrong = [v for v in g.vertices if v in lists.lists and len(lists.list_of(v)) != k]
-    if wrong:
-        v = wrong[0]
-        return ChoosabilityVerdict(
-            "WitnessRefuted",
-            reason=f"list of {v} has {len(lists.list_of(v))} colors, expected {k}",
-        )
-    res = decide(g, lists, budget)
-    if res.status == "EXHAUSTED":
-        raise BudgetExhausted(f"witness check undecided within {budget} nodes")
-    if res.sat:
-        return ChoosabilityVerdict(
-            "WitnessRefuted",
-            reason="a proper coloring from the lists exists",
-            coloring=res.witness,
-            nodes=res.nodes,
-            propagations=res.propagations,
-        )
-    return ChoosabilityVerdict(
-        "WitnessConfirmed", nodes=res.nodes, propagations=res.propagations
-    )
 
 
 def _canonical_rows(k: int, used: int, cap: int) -> list[int]:

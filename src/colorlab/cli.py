@@ -210,16 +210,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_prove(args: argparse.Namespace) -> int:
-    from colorlab.build import canonical_lists, mirzakhani
-    from colorlab.proof import forcing_families, theorem_replay
-    from colorlab.verify import run_claim
-
     if args.section is not None:
+        from colorlab.build import canonical_lists, mirzakhani
+        from colorlab.verify import run_claim
+
         ok, cert = run_claim(
             f"gadget-lemma-{args.section}", mirzakhani(), canonical_lists(), args.budget
         )
         _emit(json.dumps(cert, indent=2, sort_keys=True), args.out)
         return _exit_code(ok, [cert])
+    from colorlab.proof import forcing_families, theorem_replay
+
     if args.families:
         fam = forcing_families(budget=args.budget)
         payload = fam._asdict()

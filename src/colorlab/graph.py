@@ -26,7 +26,6 @@ from typing import (
     Mapping,
     NamedTuple,
     Optional,
-    Sequence,
     Union,
 )
 
@@ -311,58 +310,3 @@ def degree_histogram(g: Graph) -> dict[int, int]:
         d = len(g.adj[v])
         hist[d] = hist.get(d, 0) + 1
     return dict(sorted(hist.items()))
-
-
-class BipartiteResult(NamedTuple):
-    bipartite: bool
-    coloring: Optional[dict[VertexId, int]]  # proper 2-coloring with sides 0/1
-    odd_cycle: Optional[list[VertexId]]  # odd closed walk, closing edge implicit
-
-
-def is_bipartite(g: Graph) -> BipartiteResult:
-    """BFS 2-coloring; on failure returns an odd cycle as the witness.
-
-    The odd cycle is a vertex sequence c0, ..., c_{2k} with consecutive
-    members adjacent and c_{2k} adjacent back to c0.
-    """
-    side: dict[VertexId, int] = {}
-    parent: dict[VertexId, Optional[VertexId]] = {}
-    for root in g.vertices:
-        if root in side:
-            continue
-        side[root] = 0
-        parent[root] = None
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in g.adj[u]:
-                if w not in side:
-                    side[w] = 1 - side[u]
-                    parent[w] = u
-                    queue.append(w)
-                elif side[w] == side[u]:
-                    return BipartiteResult(False, None, _odd_cycle(parent, u, w))
-    return BipartiteResult(True, dict(side), None)
-
-
-def _odd_cycle(
-    parent: Mapping[VertexId, Optional[VertexId]], u: VertexId, w: VertexId
-) -> list[VertexId]:
-    # Walk both BFS ancestries up to the lowest common ancestor; the two legs
-    # plus the offending edge close an odd cycle.
-    anc_u = [u]
-    x: Optional[VertexId] = u
-    while parent[x] is not None:
-        x = parent[x]
-        anc_u.append(x)
-    anc_w = [w]
-    x = w
-    while parent[x] is not None:
-        x = parent[x]
-        anc_w.append(x)
-    in_u = {v: i for i, v in enumerate(anc_u)}
-    meet_i = next(i for i, v in enumerate(anc_w) if v in in_u)
-    lca = anc_w[meet_i]
-    leg_u = anc_u[: in_u[lca] + 1]  # u ... lca
-    leg_w = anc_w[:meet_i]  # w ... child of lca
-    return leg_u + list(reversed(leg_w))

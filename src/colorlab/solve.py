@@ -5,6 +5,10 @@ this module translates between structured graphs and the kernels' indexed
 form, packages results with the budget used (for reproducibility), and
 provides the independent witness checkers (on colorings and on the kernels'
 bit masks) plus a CNF export channel for third-party cross-validation.
+``verify_not_choosable``, the check of a claimed non-k-choosability
+witness, is one decide, so it lives here next to it: the certificate layer
+(``colorlab.verify``) uses it without loading the analyses of
+``colorlab.choose``, which re-exports it.
 """
 
 from __future__ import annotations
@@ -106,6 +110,56 @@ def decide(g: Graph, lists: ListAssignment, budget: int = DEFAULT_BUDGET) -> Sol
         if bad:
             raise RuntimeError(f"engine produced an invalid witness: {bad[:3]}")
     return SolveResult(_STATUS[status], witness, nodes, props, budget)
+
+
+class ChoosabilityVerdict(NamedTuple):
+    """Outcome of a choosability question.
+
+    kind: WitnessConfirmed | WitnessRefuted | Choosable | NotChoosable.
+    NotChoosable carries the offending assignment (all lists of size k,
+    decide = UNSAT); WitnessRefuted carries the reason and, when the reason
+    is a found coloring, that coloring.  A spent budget is never a verdict:
+    both analyses raise BudgetExhausted.
+    """
+
+    kind: str
+    reason: str = ""
+    assignment: Optional[ListAssignment] = None
+    coloring: Optional[dict[VertexId, int]] = None
+    examined: int = 0  # list assignments decided (exhaustive mode)
+    nodes: int = 0  # total search nodes spent
+    propagations: int = 0  # colors propagation struck from domains (witness mode)
+
+
+def verify_not_choosable(
+    g: Graph, lists: ListAssignment, k: int, budget: int = DEFAULT_BUDGET
+) -> ChoosabilityVerdict:
+    """Check a claimed non-k-choosability witness.
+
+    Confirmed iff every list has exactly k colors and no proper coloring
+    from the lists exists.  Budget exhaustion raises; it is never a verdict.
+    """
+    wrong = [v for v in g.vertices if v in lists.lists and len(lists.list_of(v)) != k]
+    if wrong:
+        v = wrong[0]
+        return ChoosabilityVerdict(
+            "WitnessRefuted",
+            reason=f"list of {v} has {len(lists.list_of(v))} colors, expected {k}",
+        )
+    res = decide(g, lists, budget)
+    if res.status == "EXHAUSTED":
+        raise BudgetExhausted(f"witness check undecided within {budget} nodes")
+    if res.sat:
+        return ChoosabilityVerdict(
+            "WitnessRefuted",
+            reason="a proper coloring from the lists exists",
+            coloring=res.witness,
+            nodes=res.nodes,
+            propagations=res.propagations,
+        )
+    return ChoosabilityVerdict(
+        "WitnessConfirmed", nodes=res.nodes, propagations=res.propagations
+    )
 
 
 def count(g: Graph, lists: ListAssignment, budget: int = DEFAULT_BUDGET) -> CountResult:

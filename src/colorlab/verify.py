@@ -29,7 +29,6 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 
 from colorlab import __version__
 from colorlab.build import ListAssignment, canonical_lists, mirzakhani, section_gadget
-from colorlab.choose import verify_not_choosable
 from colorlab.engine import EXHAUSTED, SAT, hamilton_cycle
 from colorlab.graph import (
     Graph,
@@ -41,7 +40,13 @@ from colorlab.graph import (
     find_apex,
     is_connected,
 )
-from colorlab.solve import DEFAULT_BUDGET, BudgetExhausted, chromatic_number, decide
+from colorlab.solve import (
+    DEFAULT_BUDGET,
+    BudgetExhausted,
+    chromatic_number,
+    decide,
+    verify_not_choosable,
+)
 
 DirectedEdge = tuple[VertexId, VertexId]
 # Cyclic counterclockwise neighbor order at every vertex.

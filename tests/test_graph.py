@@ -16,7 +16,6 @@ from colorlab.graph import (
     degree_histogram,
     delete_vertices,
     hub,
-    is_bipartite,
     is_connected,
     make_graph,
     parse_vertex,
@@ -270,13 +269,6 @@ def test_components_partition():
 
 def test_degree_histogram():
     assert degree_histogram(path(4)) == {1: 2, 2: 2}
-
-
-def test_bipartite():
-    assert is_bipartite(cycle(4)).bipartite
-    res = is_bipartite(cycle(5))
-    assert not res.bipartite
-    assert len(res.odd_cycle) % 2 == 1
 
 
 @given(

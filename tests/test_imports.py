@@ -76,7 +76,17 @@ def test_importing_build_builds_nothing():
 def test_the_audit_command_leaves_proof_graphio_and_fractions_out():
     loaded = after_command("audit")
     assert "colorlab.verify" in loaded
-    assert not loaded & {"colorlab.proof", "colorlab.graphio", "fractions"}
+    assert not loaded & {"colorlab.proof", "colorlab.graphio", "fractions", "colorlab.choose"}
+
+
+def test_verify_and_one_section_leave_choose_out_and_the_section_leaves_proof_out(tmp_path):
+    # Both load verify, whose witness check (verify_not_choosable) lives in solve.
+    graph = tmp_path / "m.json"
+    graph.write_text(graphio.graph_to_json(mirzakhani()))
+    assert "colorlab.choose" not in after_command("verify", "--graph", str(graph))
+    loaded = after_command("prove", "--section", "1")
+    assert "colorlab.verify" in loaded
+    assert not loaded & {"colorlab.choose", "colorlab.proof"}
 
 
 def test_the_probe_command_leaves_verify_and_proof_out(tmp_path):

@@ -505,6 +505,26 @@ def test_cycle_replay_catches_problems():
     assert check_hamiltonian_cycle(g, [vs[0], vs[1], vs[2], plain(99)]) != []
 
 
+def a_triangle(g):
+    """The first edge of g and the least common neighbour of its ends."""
+    u, v = next(iter(g.edges()))
+    return u, v, min(set(g.adj[u]) & set(g.adj[v]))
+
+
+# Each input below breaks one rule of its checker, so each check must report
+# it alone: dropping or weakening that one check lets the input pass.
+def test_cycle_replay_refuses_a_triangle_of_m_for_its_length_alone():
+    g = mirzakhani()
+    assert check_hamiltonian_cycle(g, a_triangle(g)) == ["cycle has 3 vertices, graph has 63"]
+
+
+def test_cycle_replay_refuses_a_closed_walk_of_n_steps_for_its_repeats_alone():
+    g = mirzakhani()
+    walk = list(a_triangle(g)) * 21  # 63 steps round one face, 21 times
+    assert len(walk) == g.n
+    assert check_hamiltonian_cycle(g, walk) == ["cycle repeats a vertex"]
+
+
 # --------------------------------------------------------------- cutting
 
 
@@ -696,6 +716,27 @@ def test_check_matching_catches_problems():
     assert check_matching(g, [(SW, SE), (SE, NE)]) != []  # reuse
     assert check_matching(g, [(SW, SE)]) != []  # leaves vertices uncovered
     assert any("uncovered" in p for p in check_matching(g, [(SW, SE)]))
+
+
+def test_check_matching_refuses_one_extra_edge_for_its_reuse_alone():
+    inner = mirzakhani().apex_deleted
+    pairs = perfect_matching(inner).matching
+    extra = next(e for e in inner.edges() if e not in pairs)
+    # Listed first, the extra edge makes each of the two pairs it meets reuse
+    # one covered vertex, so the reuse test must ask for either end, not both.
+    reused = [(u, v) for u, v in pairs if {u, v} & set(extra)]
+    assert len(reused) == 2
+    assert check_matching(inner, [extra, *pairs]) == [
+        f"{u} -- {v} reuses a covered vertex" for u, v in reused
+    ]
+
+
+def test_check_matching_refuses_a_non_edge_among_covering_pairs_for_that_alone():
+    inner = mirzakhani().apex_deleted
+    pairs = perfect_matching(inner).matching
+    u = pairs[0][0]
+    v = next(w for w in inner.vertices if w != u and not inner.has_edge(u, w))
+    assert check_matching(inner, [*pairs, (u, v)]) == [f"{u} -- {v} is not an edge"]
 
 
 # ------------------------------------------------------------------ audit
