@@ -478,6 +478,8 @@ def random_probe(
                     decided.append(t)
                     sat += _decide_trial(g, trial_masks(base ^ t), t, budget) == engine.SAT
         except Exception as err:
+            while os.read(tokens, 4096):  # every unclaimed chunk: no process starts one
+                pass
             return sat, err
         return sat, None
 

@@ -49,11 +49,13 @@ Hamiltonian search
     unvisited neighbor to close the cycle through.  A vertex's cycle
     partners are its unvisited neighbors, the path's end u and vertex 0; an
     unvisited vertex with exactly two, u != 0 among them, forces the next
-    edge (two forced edges at once is a dead end).  One BFS sweep over the
-    unvisited vertices per node tests connectivity, applies the forcing rule
-    and counts each one's unvisited neighbors; the extensions are tried
-    fewest first, ties by vertex index (Warnsdorff's rule).  A node is one
-    attempted extension.
+    edge (two forced edges at once is a dead end).  A forced edge has u as a
+    partner, so only u's unvisited neighbors can be forced: each node runs
+    one BFS over the unvisited vertices that only tests connectivity, then
+    counts the unvisited neighbors of each of u's, applies the forcing rule
+    to them and, if none is forced, tries them fewest first, ties by vertex
+    index (Warnsdorff's rule; Pohl 1967).  A node is one attempted
+    extension.
 
     Every unvisited vertex keeps two partners at every node expanded: at the
     root it has its degree, and a degree below 2 ends the search at once;
@@ -251,54 +253,41 @@ def hamilton_cycle(adj, budget):
     n = len(adj)
     if n < 3:
         return (UNSAT, None, 0)
-    adjset = [set(nbrs) for nbrs in adj]
     if any(len(nbrs) < 2 for nbrs in adj):
         return (UNSAT, None, 0)
     visited = [False] * n
     visited[0] = True
     path = [0]
-    # free[w]: the unvisited neighbors of w, as counted by the latest sweep.
-    free = [0] * n
 
     def candidates(u: int) -> list[int]:
         """The extensions of a path ending at u, in order; [] if pruned."""
         if not any(not visited[w] for w in adj[0]):
             return []
-        near_u = adjset[u] if u != 0 else ()
-        near_0 = adjset[0]
-        forced = -1
-        nforced = 0
-        # One BFS over the unvisited vertices from the first of them: it
-        # counts each one's unvisited neighbors and applies the forcing rule
-        # while it spreads, and whether it reached them all is the
-        # connectivity prune.
+        # Connectivity prune: one BFS from the first unvisited vertex must
+        # reach every unvisited vertex.
         first = visited.index(False)
         seen = visited[:]
         seen[first] = True
         queue = [first]
         for w in queue:
-            k = 0
             for x in adj[w]:
-                if not visited[x]:
-                    k += 1
-                    if not seen[x]:
-                        seen[x] = True
-                        queue.append(x)
-            free[w] = k
-            # w's partners are its k unvisited neighbors, u and 0; a forced
-            # edge needs exactly two, one of them u, so k < 2.
-            if k < 2 and w in near_u and k + (w in near_0) == 1:
-                nforced += 1
-                if nforced >= 2:
-                    return []
-                forced = w
+                if not seen[x]:
+                    seen[x] = True
+                    queue.append(x)
         if len(queue) + len(path) != n:
             return []
-        if nforced == 1:
-            return [forced]
+        ends = [w for w in adj[u] if not visited[w]]
+        # free[w]: how many unvisited neighbors w has.
+        free = {w: sum(not visited[x] for x in adj[w]) for w in ends}
+        if u != 0:
+            # w's partners are its free[w] unvisited neighbors, u, and 0 if
+            # adjacent (adj[w] is ascending); with exactly two, uw is forced.
+            forced = [w for w in ends if free[w] + (adj[w][0] == 0) == 1]
+            if forced:
+                return forced if len(forced) == 1 else []
         # Most constrained first; the sort is stable, so ties keep the
         # ascending order of adj[u].
-        return sorted((w for w in adj[u] if not visited[w]), key=free.__getitem__)
+        return sorted(ends, key=free.__getitem__)
 
     nodes = 0
     # One iterator per path vertex over the extensions still to try from it.

@@ -416,6 +416,8 @@ def test_hamilton_long_cycle_deeper_than_recursion_limit(default_recursion_limit
     g = make_graph(vs, [(vs[i], vs[(i + 1) % DEEP]) for i in range(DEEP)])
     res = hamilton(g)
     assert res.status == "FOUND"
+    # Every step round the cycle is the one forced edge at the path's end.
+    assert res.nodes == DEEP - 1
     assert check_hamiltonian_cycle(g, res.cycle) == []
 
 

@@ -756,13 +756,18 @@ def test_a_bad_witness_in_a_child_raises_the_serial_error(monkeypatch):
 
 def fork_after_each_claim(monkeypatch, tmp_path):
     """Make os.fork return in this process only once the child has called
-    the returned function, as it does on deciding its first trial."""
+    the returned function, as it does on deciding its first trial, or has
+    exited; an exited child is left for the probe to reap."""
     real_fork = os.fork
+
+    def claimed_or_exited(pid):
+        exited = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+        return exited is not None or (tmp_path / str(pid)).exists()
 
     def fork():
         pid = real_fork()
         deadline = time.monotonic() + 30
-        while pid and not (tmp_path / str(pid)).exists() and time.monotonic() < deadline:
+        while pid and not claimed_or_exited(pid) and time.monotonic() < deadline:
             time.sleep(0.005)
         return pid
 
@@ -794,6 +799,28 @@ def test_a_child_failure_that_does_not_recur_here_names_its_trials(
     monkeypatch.setattr(choose, "_decide_masks", fails_in_children)
     with pytest.raises(RuntimeError, match=f"^a probe worker {match}$"):
         probe_in(monkeypatch, 3, mirzakhani(), 3, 200, 0, pool=(1, 2, 3, 4))
+    assert_no_children()
+
+
+def test_a_child_failure_ends_the_claims_of_every_process(tmp_path, monkeypatch):
+    # The child fails at its first trial, in chunk 0, and takes every chunk
+    # left before it exits; fork returns here only then, so this process
+    # claims no chunk and decides only trial 0, to check it again.
+    parent, real = os.getpid(), choose._decide_masks
+    fork_after_each_claim(monkeypatch, tmp_path)
+    decided_here = []
+
+    def fails_in_children(g, masks, budget):
+        if os.getpid() != parent:
+            1 // 0
+        decided_here.append(masks)
+        return real(g, masks, budget)
+
+    monkeypatch.setattr(choose, "_decide_masks", fails_in_children)
+    match = "^a probe worker failed at trial 0, which does not fail here$"
+    with pytest.raises(RuntimeError, match=match):
+        probe_in(monkeypatch, 2, mirzakhani(), 3, 200, 0, pool=(1, 2, 3, 4))
+    assert len(decided_here) == 1
     assert_no_children()
 
 

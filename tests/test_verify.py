@@ -208,6 +208,18 @@ def test_mirzakhani_is_a_plane_triangulation():
     assert census.all_triangles
 
 
+# M's faces, one line each: the tails of its darts, from its least dart.
+M_FACES_SHA256 = "b6b4e8eaaaf521fcb09994ebd06920d9d808f471862cc7a9d2dcfd32acd7fe99"
+
+
+def test_mirzakhani_faces_ascend_and_each_starts_at_its_least_dart():
+    faces = face_census(apex_embed(mirzakhani())).faces
+    assert list(faces) == sorted(faces)
+    assert all(face[0] == min(face) for face in faces)
+    text = "\n".join(" ".join(str(u) for u, _ in face) for face in faces)
+    assert hashlib.sha256(text.encode()).hexdigest() == M_FACES_SHA256
+
+
 def test_apex_deleted_census():
     inner = delete_vertices(mirzakhani(), [apex()])
     rot = rotation_from_layout(inner)
