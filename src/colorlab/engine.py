@@ -277,7 +277,6 @@ def hamilton_cycle(adj, budget):
         if len(queue) + len(path) != n:
             return []
         ends = [w for w in adj[u] if not visited[w]]
-        # free[w]: how many unvisited neighbors w has.
         free = {w: sum(not visited[x] for x in adj[w]) for w in ends}
         if u != 0:
             # w's partners are its free[w] unvisited neighbors, u, and 0 if

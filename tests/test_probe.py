@@ -786,13 +786,17 @@ def test_a_child_failure_that_does_not_recur_here_names_its_trials(
     in_child, match, tmp_path, monkeypatch
 ):
     # Each child claims its first chunk before its fork returns here, child
-    # 1 chunk 0 and child 2 chunk 1: the least trial that failed is named.
+    # 1 chunk 0 and child 2 chunk 1, and fails only once both have claimed,
+    # so both fail: the least trial that failed is named.
     parent, real = os.getpid(), choose._decide_masks
     claimed = fork_after_each_claim(monkeypatch, tmp_path)
 
     def fails_in_children(g, masks, budget):
         if os.getpid() != parent:
             claimed()
+            deadline = time.monotonic() + 30
+            while len(list(tmp_path.iterdir())) < 2 and time.monotonic() < deadline:
+                time.sleep(0.005)
             in_child()
         return real(g, masks, budget)
 
