@@ -12,9 +12,14 @@ the certificate layer loads without this module; it is re-exported here.
 A probe's trials are independent, so random_probe decides them in up to one
 process per available CPU, forked with os.fork, each claiming chunks of
 trials from one pipe.  Trial t's lists are a function of mix(seed) ^ t alone,
-so each process draws only the trials it claims, and the report is the same
-for any number of processes.  The exhaustive analysis stays in one process:
-its verdict is the first UNSAT assignment in order, under one shared budget.
+so each process draws only the trials it claims.  The children report each
+chunk they finish, and the trial that fails, on one results pipe, and the
+calling process resolves every failure by one rule from the least failing
+trial recorded: it decides that trial again and, if it failed itself, the
+trials below it in chunks that a killed child left unfinished.  So the
+report, and the error, are the same for any number of processes.  The
+exhaustive analysis stays in one process: its verdict is the first UNSAT
+assignment in order, under one shared budget.
 """
 
 from __future__ import annotations
@@ -396,28 +401,10 @@ CHUNK = 16
 # bytes (PIPE_BUF on Linux, below every default pipe capacity) cannot block:
 # a probe of more than MAX_CHUNKS chunks of CHUNK gets larger chunks.
 MAX_CHUNKS = 1024
-
-
-def _fork_claims(claims) -> tuple[int, int]:
-    """(pid, pipe read end) of a forked child that runs claims(decided),
-    writes "<SAT count> <first failing trial or -1>" in one write and leaves
-    through os._exit: it flushes no inherited stdio buffer, runs no atexit handler."""
-    rfd, wfd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(rfd)
-        os.close(wfd)
-        raise
-    if pid:
-        os.close(wfd)
-        return pid, rfd
-    try:
-        decided: list[int] = []
-        sat, err = claims(decided)
-        os.write(wfd, f"{sat} {decided[-1] if err else -1}".encode())
-    finally:
-        os._exit(0)
+# A record on the results pipe: (chunk, SAT count) for a chunk a process
+# finished, (chunk, -1 - t) for the trial t that failed and ended its claims.
+# Each is one 16-byte write, below PIPE_BUF, so no two records interleave.
+_RECORD = struct.Struct("<qq")
 
 
 def random_probe(
@@ -451,8 +438,19 @@ def random_probe(
     The trials are cut into chunks of CHUNK, one token each in a pipe, and
     this process and its forked children (see _workers) claim chunks by
     reading tokens in order; each draws and decides only its own claims.
-    The report, and the error of the first failing trial in trial order,
-    are the same for any number of workers.  No child outlives the call.
+    Each process records every chunk it finishes with its SAT count, and
+    the trial that fails and ends its claims; the children write their
+    records to one results pipe.  Once its own claims end, this process
+    kills the children if it failed, reads the pipe to its end and resolves
+    every outcome by one rule.  Let F be the least failing trial recorded.
+    Every chunk below F was claimed, so one with no record belongs to a
+    child that was killed or crashed: if this process failed, the chunk's
+    trials below F are decided here, in order; if not, the probe raises that
+    a worker exited without a result.  F itself is decided here; if it does
+    not fail here, this process raises its own error, or else one that names
+    F.  So the report, and the error of the first failing trial in trial
+    order, are the same for any number of workers.  No child outlives the
+    call.
     """
     colors = sorted(set(pool)) if pool is not None else list(default_pool(k))
     _check_pool(k, colors)
@@ -468,49 +466,65 @@ def random_probe(
     workers = max(1, min(_workers(trials), chunks))
     g.int_adj, g.int_order, g.int_edges  # the integer form, built before any fork  # noqa: B018
 
-    def claims(decided: list[int]) -> tuple[int, Optional[Exception]]:
-        # decided[-1] is the first failing trial, which ends the claims.
-        sat = 0
+    def claims(record) -> Optional[Exception]:
+        # record(chunk, value) for each chunk finished, and for the chunk of
+        # the failing trial t, which ends the claims.
         try:
             while token := os.read(tokens, 4):
-                start = int.from_bytes(token, "little") * chunk
-                for t in range(start, min(start + chunk, trials)):
-                    decided.append(t)
+                index = int.from_bytes(token, "little")
+                sat = 0
+                for t in range(index * chunk, min(index * chunk + chunk, trials)):
                     sat += _decide_trial(g, trial_masks(base ^ t), t, budget) == engine.SAT
+                record(index, sat)
         except Exception as err:
+            record(index, -1 - t)
             while os.read(tokens, 4096):  # every unclaimed chunk: no process starts one
                 pass
-            return sat, err
-        return sat, None
+            return err
 
     tokens, wfd = os.pipe()
-    pending: list[tuple[int, int]] = []  # children not yet reaped
-    decided: list[int] = []  # the trials this process decides
+    results, out = os.pipe()
+    pids: list[int] = []  # children not yet reaped
+    done: dict[int, int] = {}  # chunk -> its record's value
     try:
         try:
-            os.write(wfd, struct.pack(f"<{chunks}I", *range(chunks)))
+            try:
+                os.write(wfd, struct.pack(f"<{chunks}I", *range(chunks)))
+            finally:
+                os.close(wfd)  # before any fork: end of file once every token is read
+            for _ in range(workers - 1):
+                if not (pid := os.fork()):
+                    try:  # os._exit flushes no inherited stdio buffer, runs no atexit handler
+                        claims(lambda index, value: os.write(out, _RECORD.pack(index, value)))
+                    finally:
+                        os._exit(0)
+                pids.append(pid)
         finally:
-            os.close(wfd)  # before any fork: end of file once every token is read
-        for _ in range(workers - 1):
-            pending.append(_fork_claims(claims))
-        successes, err = claims(decided)
-        replies = [os.read(rfd, 64).split() for _, rfd in pending] if err is None else []
+            os.close(out)  # end of file once every child has exited
+        err = claims(done.__setitem__)
+        if err is not None:
+            for pid in pids:  # killed at once
+                os.kill(pid, 9)  # SIGKILL on every POSIX system
+        received = b"".join(iter(functools.partial(os.read, results, 4096), b""))
+        done.update(_RECORD.iter_unpack(received))
     finally:
-        for pid, rfd in pending:  # killed at once, if not yet exited, and reaped
-            os.kill(pid, 9)  # SIGKILL on every POSIX system
+        for pid in pids:  # killed, if not yet exited, and reaped
+            os.kill(pid, 9)
             os.waitpid(pid, 0)
-            os.close(rfd)
         os.close(tokens)
-    if err is not None:
-        # The earlier trials the killed children claimed, decided here in order.
-        for t in sorted(set(range(max(decided, default=0))).difference(decided)):
-            _decide_trial(g, trial_masks(base ^ t), t, budget)
+        os.close(results)
+    failed = min((-1 - value for value in done.values() if value < 0), default=trials)
+    for index in range(-(-failed // chunk)):  # every chunk below trial failed was claimed
+        if index not in done:  # a killed or crashed child's
+            if err is None:
+                raise RuntimeError("a probe worker exited without a result")
+            for t in range(index * chunk, min(index * chunk + chunk, failed)):
+                _decide_trial(g, trial_masks(base ^ t), t, budget)
+    if failed < trials:
+        _decide_trial(g, trial_masks(base ^ failed), failed, budget)
+        if err is None:  # a child's failure alone
+            err = RuntimeError(f"a probe worker failed at trial {failed}, which does not fail here")
         raise err
-    if any(len(reply) != 2 for reply in replies):
-        raise RuntimeError("a probe worker exited without a result")
-    successes += sum(int(count) for count, _ in replies)
-    t = min((int(t) for _, t in replies if t != b"-1"), default=-1)
-    if t >= 0:  # every earlier chunk was claimed first, so decided
-        _decide_trial(g, trial_masks(base ^ t), t, budget)
-        raise RuntimeError(f"a probe worker failed at trial {t}, which does not fail here")
-    return ProbeReport(f"{g.n} vertices, {g.m} edges", k, trials, successes, seed, tuple(colors))
+    return ProbeReport(
+        f"{g.n} vertices, {g.m} edges", k, trials, sum(done.values()), seed, tuple(colors)
+    )

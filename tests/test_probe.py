@@ -6,6 +6,7 @@ Graph.int_edges.  The oracle below is the list-based loop it replaces: one
 make_lists and one decide per trial.  Reports must agree byte for byte.
 """
 
+import errno
 import hashlib
 import itertools
 import os
@@ -866,6 +867,59 @@ def test_a_failure_here_decides_the_chunks_that_killed_children_claimed(
         probe_in(monkeypatch, workers, mirzakhani(), 3, 400, 0, pool=(1, 2, 3, 4), budget=1)
     assert time.monotonic() - start < 30
     assert_no_children()
+    assert free_fds() == fds
+
+
+def test_a_failure_here_decides_again_only_the_chunk_a_killed_child_left(
+    tmp_path, monkeypatch
+):
+    # This process fails every trial from 500 on that it draws, and the child
+    # fails none: the child reported each chunk it finished, so only the one
+    # it was deciding when killed is drawn again here.
+    parent, real = os.getpid(), choose._decide_trial
+    records = record_draws(monkeypatch, tmp_path / "draws")
+
+    def fails_here_from_500(g, masks, t, budget):
+        if os.getpid() == parent and t >= 500:
+            raise RuntimeError(f"trial {t} fails here")
+        return real(g, masks, t, budget)
+
+    monkeypatch.setattr(choose, "_decide_trial", fails_here_from_500)
+    with pytest.raises(RuntimeError, match="^trial [0-9]+ fails here$"):
+        probe_in(monkeypatch, 2, mirzakhani(), 3, 1000, 0, pool=(1, 2, 3, 4))
+    assert_no_children()
+    drawn = records()
+    here = {seed for pid, seed in drawn if pid == parent}
+    there = {seed for pid, seed in drawn if pid != parent}
+    assert len(here & there) <= choose.CHUNK, sorted(here & there)
+
+
+def test_a_failing_fork_raises_and_leaves_no_child_or_descriptor(monkeypatch):
+    # The first child is running when the second fork fails.
+    real_fork, real_pipe, calls, opened = os.fork, os.pipe, [], []
+
+    def second_fork_fails():
+        calls.append(None)
+        if len(calls) == 2:
+            raise BlockingIOError(errno.EAGAIN, "fork refused")
+        return real_fork()
+
+    def recording_pipe():
+        fds = real_pipe()
+        opened.extend(fds)
+        return fds
+
+    fds = free_fds()
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    monkeypatch.setattr(os, "pipe", recording_pipe)
+    with pytest.raises(BlockingIOError, match="fork refused"):
+        probe_in(monkeypatch, 3, mirzakhani(), 3, 1000, 0, pool=(1, 2, 3, 4))
+    assert len(calls) == 2
+    assert_no_children()
+    # free_fds sees only the two lowest descriptors; each pipe end is checked.
+    for fd in opened:
+        with pytest.raises(OSError):
+            os.fstat(fd)
     assert free_fds() == fds
 
 
