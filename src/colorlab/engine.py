@@ -39,9 +39,15 @@ List-coloring search
     vertex.  A vertex v is assigned with a culprit mask, its own bit for a
     decision and its blame for a forced assignment, and each color v
     removes from a neighbor u ors that mask into ``blame[u]``; a wipe-out
-    of u is refuted by ``blame[u]``.  One trail holds (vertex, domain
-    before, blame before) per removal, and undo restores the entries above
-    a frame's mark newest first, so no state is copied per frame.
+    of u is refuted by ``blame[u]``.  Assigning v empties its domain (its
+    color is kept only for the witness), so a removal skips assigned
+    neighbors without a test of its own, and a count of unassigned
+    vertices says when a coloring is complete.  One trail holds (vertex,
+    domain before, blame before) for every assignment and every removal;
+    undo restores the entries above a frame's mark newest first and resets
+    the unassigned count, so no state is copied per frame.  The root's
+    singleton domains are queued like the vertex of a decision and run
+    through the same propagation code.
 
 Hamiltonian search
     Depth-first path extension from vertex 0 with two prunes: the unvisited
@@ -100,22 +106,31 @@ def solve_colors(adj, order, domains, budget, mode):
     a tuple of one-bit masks, one per vertex (decide mode, SAT only), and
     count is the number of proper colorings seen (exact unless status is
     EXHAUSTED).
+
+    The search is one loop over an explicit stack of decision frames.  Each
+    pass first assigns the queued vertices: on the first pass the singleton
+    domains, after a decision its vertex and every vertex it forces.  An
+    assigned vertex's domain is 0, and ``color`` only records the witness
+    bits.  One trail holds (vertex, domain before, blame before) for every
+    assignment and every removal, restored newest first down to a frame's
+    mark when the search backs up.
     """
     dom = list(domains)
     if 0 in dom:
         return (UNSAT, None, 0, 0, 0)
     n = len(adj)
-    color = [-1] * n
+    color = [0] * n  # the bit each vertex was last assigned: the witness
+    unassigned = n
     # blame[u]: the decisions (bit per vertex) behind the colors missing
     # from u's domain, the union of the removers' culprit masks.
     blame = [0] * n
-    atrail: list[int] = []  # assigned vertices, in assignment order
-    # One entry per removal, in removal order: (vertex, its domain before,
-    # its blame before).
+    # One entry per assignment and per removal, in order: (vertex, its
+    # domain before, its blame before).
     trail: list[tuple[int, int, int]] = []
-    # FIFO of forced (singleton-domain) vertices, seeded with the domains
-    # that are singletons from the start.
-    pending = [v for v, d in enumerate(dom) if d & (d - 1) == 0]
+    # FIFO of (vertex, its color bit, its culprit mask) to assign: the
+    # culprit is a decision's own bit, or a forced vertex's blame.  It starts
+    # with the singleton domains.
+    pending = [(v, d, 0) for v, d in enumerate(dom) if d & (d - 1) == 0]
     props = 0
     # The minimum-remaining-values scan order.  In decide mode a vertex
     # whose domain is wiped out moves ahead of every vertex wiped out fewer
@@ -127,74 +142,62 @@ def solve_colors(adj, order, domains, budget, mode):
     # depended on: set by a domain wipe-out or by a node whose colors all
     # failed, read by the node above it.
     jump = 0
-
-    def assign(v: int, bit: int, vwhy: int) -> bool:
-        # vwhy: the decisions that v's assignment descends from, v itself
-        # included if v is a decision.
-        nonlocal props, jump
-        color[v] = bit
-        atrail.append(v)
-        for u in adj[v]:
-            d = dom[u]
-            if d & bit and color[u] < 0:
-                b = blame[u]
-                trail.append((u, d, b))
-                d ^= bit
-                dom[u] = d
-                blame[u] = b | vwhy
-                props += 1
-                if d == 0:
-                    jump = b | vwhy
-                    if mode == MODE_DECIDE:
-                        scan.remove(u)
-                        fails[u] -= 1
-                        at = bisect.bisect_left(scan, fails[u], key=fails.__getitem__)
-                        scan.insert(at, u)
-                    return False
-                if d & (d - 1) == 0:
-                    pending.append(u)
-        return True
-
-    def run_queue() -> bool:
-        # assign() appends to pending while this loop walks it.
-        for u in pending:
-            if color[u] < 0 and not assign(u, dom[u], blame[u]):
-                return False
-        return True
-
-    def undo(amark: int, tmark: int) -> None:
-        pending.clear()
-        # Newest first, so a vertex ends with its oldest saved state.
-        for u, d, b in reversed(trail[tmark:]):
-            dom[u] = d
-            blame[u] = b
-        del trail[tmark:]
-        for v in atrail[amark:]:
-            color[v] = -1
-        del atrail[amark:]
-
-    if not run_queue():
-        return (UNSAT, None, 0, props, 0)
-    pending.clear()
-
     nodes = count = 0
     wide = MAX_PALETTE + 1
-    # One frame per decision vertex on the current path:
-    # [vertex, conflict set, colors left to try, atrail mark, trail mark].
-    # The conflict set starts from the decisions that already pruned the
-    # vertex's domain (a completion could otherwise revive a pruned color),
-    # then absorbs the refutation of every color tried below.
+    # One frame per decision vertex on the current path: [vertex, conflict
+    # set, colors left to try, unassigned count, trail mark], the last two
+    # as they were before the vertex was assigned.  The conflict set starts
+    # from the decisions that already pruned the vertex's domain (a
+    # completion could otherwise revive a pruned color), then absorbs the
+    # refutation of every color tried below.
     stack: list[list[int]] = []
     # True when the top frame's latest color was refuted (or, when counting,
     # its subtree finished) and the frame must take that result in.
     returned = False
     while True:
+        # Assign the queued vertices in order; a vertex whose domain falls
+        # to one color joins the queue (the queue grows while it is walked).
+        for v, bit, why in pending:
+            trail.append((v, dom[v], blame[v]))
+            dom[v] = 0
+            color[v] = bit
+            unassigned -= 1
+            for u in adj[v]:
+                d = dom[u]
+                if d & bit:
+                    b = blame[u]
+                    trail.append((u, d, b))
+                    d ^= bit
+                    dom[u] = d
+                    b |= why
+                    blame[u] = b
+                    props += 1
+                    if d == 0:
+                        jump = b
+                        if mode == MODE_DECIDE:
+                            scan.remove(u)
+                            fails[u] -= 1
+                            at = bisect.bisect_left(scan, fails[u], key=fails.__getitem__)
+                            scan.insert(at, u)
+                        returned = True
+                        break
+                    if d & (d - 1) == 0:
+                        pending.append((u, d, b))
+            if returned:
+                break
+        pending.clear()
         if returned:
             if not stack:
                 break
             frame = stack[-1]
             vbit = 1 << frame[0]
-            undo(frame[3], frame[4])
+            mark = frame[4]
+            # Newest first, so a vertex ends with its oldest saved state.
+            for u, d, b in reversed(trail[mark:]):
+                dom[u] = d
+                blame[u] = b
+            del trail[mark:]
+            unassigned = frame[3]
             # jump holds the set of decisions the refutation of this color
             # depended on; if the vertex is not among them, its remaining
             # colors fail identically and the conflict belongs to an
@@ -203,7 +206,7 @@ def solve_colors(adj, order, domains, budget, mode):
                 stack.pop()
                 continue
             frame[1] |= jump & ~vbit
-        elif len(atrail) == n:
+        elif not unassigned:
             count += 1
             if mode == MODE_DECIDE:
                 return (SAT, tuple(color), nodes, props, count)
@@ -214,13 +217,13 @@ def solve_colors(adj, order, domains, budget, mode):
             # at least 2 colors, so the first 2 found is the minimum.
             best, best_size = -1, wide
             for v in scan:
-                if color[v] < 0:
+                if dom[v]:
                     size = dom[v].bit_count()
                     if size < best_size:
                         best, best_size = v, size
                         if size == 2:
                             break
-            frame = [best, blame[best], dom[best], 0, 0]
+            frame = [best, blame[best], dom[best], unassigned, len(trail)]
             stack.append(frame)
         mask = frame[2]
         if not mask:
@@ -231,12 +234,10 @@ def solve_colors(adj, order, domains, budget, mode):
         if nodes >= budget:
             return (EXHAUSTED, None, nodes, props, count)
         nodes += 1
-        v = frame[0]
         bit = mask & -mask
         frame[2] = mask ^ bit
-        frame[3], frame[4] = len(atrail), len(trail)
-        pending.clear()
-        returned = not (assign(v, bit, 1 << v) and run_queue())
+        pending.append((frame[0], bit, 1 << frame[0]))
+        returned = False
     return (SAT if count > 0 else UNSAT, None, nodes, props, count)
 
 

@@ -411,6 +411,13 @@ def test_decide_edgeless_graph_deeper_than_recursion_limit(default_recursion_lim
     assert res.nodes == DEEP
 
 
+def test_count_long_path_deeper_than_recursion_limit(default_recursion_limit):
+    # One decision vertex whose two colors each force the rest of the path.
+    adj = [[u for u in (v - 1, v + 1) if 0 <= u < DEEP] for v in range(DEEP)]
+    out = solve_colors(adj, branch_order(adj), [0b11] * DEEP, 10**7, MODE_COUNT)
+    assert out == (SAT, None, 2, 2998, 2)
+
+
 def test_hamilton_long_cycle_deeper_than_recursion_limit(default_recursion_limit):
     vs = [plain(i) for i in range(DEEP)]
     g = make_graph(vs, [(vs[i], vs[(i + 1) % DEEP]) for i in range(DEEP)])

@@ -491,6 +491,28 @@ def free_fds():
     return fds
 
 
+def closes_its_pipes(monkeypatch):
+    """Record the ends of every pipe this process opens from here on, and
+    return a check that each is closed and the two lowest free descriptors
+    are free again."""
+    fds, real_pipe, opened = free_fds(), os.pipe, []
+
+    def recording_pipe():
+        ends = real_pipe()
+        opened.extend(ends)
+        return ends
+
+    monkeypatch.setattr(os, "pipe", recording_pipe)
+
+    def check():
+        for fd in opened:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        assert free_fds() == fds
+
+    return check
+
+
 def count_forks(monkeypatch):
     """The pids of the children os.fork makes from here on."""
     real_fork, forks = os.fork, []
@@ -556,14 +578,14 @@ def test_a_probe_of_4133_trials_forks_once_per_extra_worker(monkeypatch):
     trials = 4096 + 37
     expected = oracle_probe(g, 2, trials, 9, (1, 2, 3))
     assert 0 < expected.successes < trials
-    forks, fds = count_forks(monkeypatch), free_fds()
+    forks, closed = count_forks(monkeypatch), closes_its_pipes(monkeypatch)
     for workers in WORKER_COUNTS:
         forks.clear()
         got = probe_in(monkeypatch, workers, g, 2, trials, 9, pool=(1, 2, 3))
         assert got.to_json() == expected.to_json(), workers
         assert len(forks) == workers - 1, workers
     assert_no_children()
-    assert free_fds() == fds
+    closed()
 
 
 def test_a_probe_of_no_trials_reports_0_and_forks_nothing(monkeypatch):
@@ -632,14 +654,14 @@ def test_a_probe_of_more_chunks_than_tokens_grows_its_chunks(monkeypatch):
         return real_write(fd, data)
 
     monkeypatch.setattr(os, "write", recording_write)
-    fds = free_fds()
+    closed = closes_its_pipes(monkeypatch)
     for workers in WORKER_COUNTS:
         written.clear()
         got = probe_in(monkeypatch, workers, g, 2, trials, 9, pool=(1, 2, 3))
         assert got.to_json() == expected.to_json(), workers
         assert written == [4096], workers
     assert_no_children()
-    assert free_fds() == fds
+    closed()
 
 
 def test_a_child_that_claims_no_chunk_still_gives_the_report(tmp_path, monkeypatch):
@@ -656,12 +678,12 @@ def test_a_child_that_claims_no_chunk_still_gives_the_report(tmp_path, monkeypat
         return pid
 
     monkeypatch.setattr(os, "fork", late_fork)
-    fds = free_fds()
+    closed = closes_its_pipes(monkeypatch)
     got = probe_in(monkeypatch, 2, g, 2, trials, 0, pool=(1, 2, 3))
     assert got.to_json() == oracle_probe(g, 2, trials, 0, (1, 2, 3)).to_json()
     assert {pid for pid, _ in records()} == {os.getpid()}
     assert_no_children()
-    assert free_fds() == fds
+    closed()
 
 
 def test_this_process_holds_no_lists_of_a_forked_slice(monkeypatch):
@@ -708,10 +730,10 @@ def test_workers_stay_one_while_another_thread_runs():
 
 
 def test_the_probe_forks_once_per_extra_worker(monkeypatch):
-    forks, fds = count_forks(monkeypatch), free_fds()
+    forks, closed = count_forks(monkeypatch), closes_its_pipes(monkeypatch)
     assert random_probe(mirzakhani(), 3, 1000, 0, pool=(1, 2, 3, 4)).successes == 649
     assert len(forks) == choose._workers(1000) - 1
-    assert free_fds() == fds
+    closed()
     forks.clear()
     monkeypatch.setattr(choose, "_workers", lambda trials: 1)
     random_probe(mirzakhani(), 3, 30, 0, pool=(1, 2, 3, 4))
@@ -838,12 +860,12 @@ def test_children_still_running_are_killed_when_this_process_raises(monkeypatch)
         return real(g, masks, budget)
 
     monkeypatch.setattr(choose, "_decide_masks", stalls_in_children)
-    fds, start = free_fds(), time.monotonic()
+    closed, start = closes_its_pipes(monkeypatch), time.monotonic()
     with pytest.raises(BudgetExhausted, match="^trial 0 undecided within 1 nodes"):
         probe_in(monkeypatch, 4, mirzakhani(), 3, 400, 0, pool=(1, 2, 3, 4), budget=1)
     assert time.monotonic() - start < 30
     assert_no_children()
-    assert free_fds() == fds
+    closed()
 
 
 @pytest.mark.parametrize("workers", [2, 4])
@@ -862,12 +884,12 @@ def test_a_failure_here_decides_the_chunks_that_killed_children_claimed(
         return real(g, masks, budget)
 
     monkeypatch.setattr(choose, "_decide_masks", stalls_in_children)
-    fds, start = free_fds(), time.monotonic()
+    closed, start = closes_its_pipes(monkeypatch), time.monotonic()
     with pytest.raises(BudgetExhausted, match="^trial 0 undecided within 1 nodes"):
         probe_in(monkeypatch, workers, mirzakhani(), 3, 400, 0, pool=(1, 2, 3, 4), budget=1)
     assert time.monotonic() - start < 30
     assert_no_children()
-    assert free_fds() == fds
+    closed()
 
 
 def test_a_failure_here_decides_again_only_the_chunk_a_killed_child_left(
@@ -896,7 +918,7 @@ def test_a_failure_here_decides_again_only_the_chunk_a_killed_child_left(
 
 def test_a_failing_fork_raises_and_leaves_no_child_or_descriptor(monkeypatch):
     # The first child is running when the second fork fails.
-    real_fork, real_pipe, calls, opened = os.fork, os.pipe, [], []
+    real_fork, calls = os.fork, []
 
     def second_fork_fails():
         calls.append(None)
@@ -904,23 +926,13 @@ def test_a_failing_fork_raises_and_leaves_no_child_or_descriptor(monkeypatch):
             raise BlockingIOError(errno.EAGAIN, "fork refused")
         return real_fork()
 
-    def recording_pipe():
-        fds = real_pipe()
-        opened.extend(fds)
-        return fds
-
-    fds = free_fds()
+    closed = closes_its_pipes(monkeypatch)
     monkeypatch.setattr(os, "fork", second_fork_fails)
-    monkeypatch.setattr(os, "pipe", recording_pipe)
     with pytest.raises(BlockingIOError, match="fork refused"):
         probe_in(monkeypatch, 3, mirzakhani(), 3, 1000, 0, pool=(1, 2, 3, 4))
     assert len(calls) == 2
     assert_no_children()
-    # free_fds sees only the two lowest descriptors; each pipe end is checked.
-    for fd in opened:
-        with pytest.raises(OSError):
-            os.fstat(fd)
-    assert free_fds() == fds
+    closed()
 
 
 def test_probe_budget_spent_in_this_process_exits_3_and_leaves_no_child(
