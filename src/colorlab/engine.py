@@ -56,12 +56,18 @@ Hamiltonian search
     partners are its unvisited neighbors, the path's end u and vertex 0; an
     unvisited vertex with exactly two, u != 0 among them, forces the next
     edge (two forced edges at once is a dead end).  A forced edge has u as a
-    partner, so only u's unvisited neighbors can be forced: each node runs
-    one BFS over the unvisited vertices that only tests connectivity, then
-    counts the unvisited neighbors of each of u's, applies the forcing rule
-    to them and, if none is forced, tries them fewest first, ties by vertex
-    index (Warnsdorff's rule; Pohl 1967).  A node is one attempted
-    extension.
+    partner, so only u's unvisited neighbors can be forced: each node counts
+    the unvisited neighbors of each of u's, applies the forcing rule to them
+    and, if none is forced, tries them fewest first, ties by vertex index
+    (Warnsdorff's rule; Pohl 1967).  A node is one attempted extension.
+
+    The connectivity test is one BFS over the unvisited vertices, and it runs
+    only where the path's end can split them: at the root, and where u has
+    two unvisited neighbors or more.  Every node expanded below the root
+    inherits connected unvisited vertices, u among them, from its parent,
+    and taking away a vertex with at most one neighbor among them keeps them
+    connected.  So the skipped tests would all have passed, and the search
+    visits the same nodes in the same order as one that tests at every node.
 
     Every unvisited vertex keeps two partners at every node expanded: at the
     root it has its degree, and a degree below 2 ends the search at once;
@@ -264,20 +270,25 @@ def hamilton_cycle(adj, budget):
         """The extensions of a path ending at u, in order; [] if pruned."""
         if not any(not visited[w] for w in adj[0]):
             return []
-        # Connectivity prune: one BFS from the first unvisited vertex must
-        # reach every unvisited vertex.
-        first = visited.index(False)
-        seen = visited[:]
-        seen[first] = True
-        queue = [first]
-        for w in queue:
-            for x in adj[w]:
-                if not seen[x]:
-                    seen[x] = True
-                    queue.append(x)
-        if len(queue) + len(path) != n:
-            return []
         ends = [w for w in adj[u] if not visited[w]]
+        # Connectivity prune: one BFS from the first unvisited vertex must
+        # reach every unvisited vertex.  Below the root, the parent node's
+        # unvisited vertices, u among them, were connected (its BFS said so,
+        # or this same argument held there).  Deleting a vertex with at most
+        # one neighbor in a connected set leaves it connected, so the BFS
+        # runs only when u has two unvisited neighbors or more.
+        if u == 0 or len(ends) > 1:
+            first = visited.index(False)
+            seen = visited[:]
+            seen[first] = True
+            queue = [first]
+            for w in queue:
+                for x in adj[w]:
+                    if not seen[x]:
+                        seen[x] = True
+                        queue.append(x)
+            if len(queue) + len(path) != n:
+                return []
         free = {w: sum(not visited[x] for x in adj[w]) for w in ends}
         if u != 0:
             # w's partners are its free[w] unvisited neighbors, u, and 0 if

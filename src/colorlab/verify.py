@@ -137,36 +137,38 @@ def rotation_from_layout(g: Graph) -> RotationSystem:
 def face_census(rot: RotationSystem) -> FaceCensus:
     """Trace every face of the rotation system.
 
-    From a directed edge (u, v) the next edge of the same face is
-    (v, w) where w follows u in the rotation at v.  Every directed edge
-    lands in exactly one face; V - E + F = 2 on a connected graph means
-    the rotation system is a plane (genus-0) embedding.
+    One map takes each dart (u, v) to the next dart (v, w) of its face,
+    where w follows u in the rotation at v.  Faces are traced by popping
+    darts from that map, so each dart is looked up once and lands in
+    exactly one face; V - E + F = 2 on a connected graph means the
+    rotation system is a plane (genus-0) embedding.  Each face starts at
+    its least dart and the faces come out sorted.
+
+    A rotation that lists a neighbor twice is refused, naming the repeated
+    dart, and so is a dart (u, v) whose head v does not list u, since its
+    face has no next dart.
     """
-    succ_at: dict[VertexId, dict[VertexId, VertexId]] = {}
+    succ: dict[DirectedEdge, DirectedEdge] = {}
     for v, rotv in rot.items():
-        succ_at[v] = {u: rotv[(i + 1) % len(rotv)] for i, u in enumerate(rotv)}
-    darts = [(v, u) for v in sorted(rot) for u in rot[v]]
-    seen: set[DirectedEdge] = set()
+        for i, u in enumerate(rotv):
+            if (u, v) in succ:
+                raise GraphError(f"face tracing revisited directed edge ({v}, {u})")
+            succ[u, v] = (v, rotv[(i + 1) % len(rotv)])
+    ne = len(succ) // 2
     faces: list[tuple[DirectedEdge, ...]] = []
-    for start in darts:
-        if start in seen:
-            continue
-        walk = []
-        cur = start
-        while True:
-            if cur in seen:
-                raise GraphError(f"face tracing revisited directed edge {cur}")
-            seen.add(cur)
+    while succ:
+        start, cur = succ.popitem()
+        walk = [start]
+        while cur != start:
             walk.append(cur)
-            u, v = cur
-            cur = (v, succ_at[v][u])
-            if cur == start:
-                break
+            cur = succ.pop(cur, None)
+            if cur is None:
+                u, v = walk[-1]
+                raise GraphError(f"dart ({u}, {v}) has no successor: {v} does not list {u}")
         least = walk.index(min(walk))
         faces.append(tuple(walk[least:] + walk[:least]))
     faces.sort()
     nv = len(rot)
-    ne = len(darts) // 2
     nf = len(faces)
     return FaceCensus(faces=tuple(faces), v=nv, e=ne, f=nf, euler=nv - ne + nf)
 
@@ -178,7 +180,7 @@ def outer_walk(g: Graph, rot: Optional[RotationSystem] = None) -> tuple[VertexId
     bounded faces come out clockwise (negative signed area) and the outer
     face is the unique positive one.  A repeated vertex on that walk is an
     error (the polygon would not be simple).  The walk starts at its least
-    vertex, orientation as traced.
+    vertex, the tail of the face's least dart, orientation as traced.
     """
     if rot is None:
         rot = rotation_from_layout(g)
@@ -201,8 +203,7 @@ def outer_walk(g: Graph, rot: Optional[RotationSystem] = None) -> tuple[VertexId
         if u in seen:
             raise GraphError(f"outer walk is not simple: {u} repeats")
         seen.add(u)
-    least = walk.index(min(walk))
-    return tuple(walk[least:] + walk[:least])
+    return tuple(walk)
 
 
 def apex_embed(g: Graph) -> RotationSystem:

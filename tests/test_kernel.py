@@ -428,6 +428,22 @@ def test_hamilton_long_cycle_deeper_than_recursion_limit(default_recursion_limit
     assert check_hamiltonian_cycle(g, res.cycle) == []
 
 
+def test_hamilton_scans_each_row_of_a_long_cycle_a_few_times():
+    # Each adjacency row counts the times it is iterated.  Round a cycle the
+    # path's end has one unvisited neighbor below the root, so no node needs
+    # a connectivity BFS over the whole graph.
+    scans = [0]
+
+    class Row(tuple):
+        def __iter__(self):
+            scans[0] += 1
+            return super().__iter__()
+
+    adj = [Row(sorted({(v - 1) % DEEP, (v + 1) % DEEP})) for v in range(DEEP)]
+    assert hamilton_cycle(adj, 10**6) == (SAT, list(range(DEEP)), DEEP - 1)
+    assert scans[0] < 10 * DEEP
+
+
 RANDOM_DIGEST = "109f93319d3b4c6e1a7257e18a692200833b497b53672e228139c265838f3bdb"
 RANDOM_ANSWERS_DIGEST = "f6b82188f054c52191458e22f36cc7ec549e49e94a8659045d33bbb420374fb2"
 THEOREM_DIGEST = "d1dfa54f992557fe2816ac94343bd754d91130399a6fb1c5fb36b244910ae8b4"

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colorlab import engine, graph, verify
-from colorlab.build import canonical_lists, mirzakhani, wheel4
+from colorlab.build import canonical_lists, gadget, mirzakhani, wheel4
 from colorlab.choose import SplitMix64
 from colorlab.graph import (
     Graph,
@@ -233,6 +234,108 @@ def test_face_tracing_refuses_a_rotation_that_repeats_a_neighbor():
     v0, v1, v2 = (plain(i) for i in range(3))
     with pytest.raises(GraphError, match=r"face tracing revisited directed edge"):
         face_census({v0: (v1, v2, v1), v1: (v0,), v2: (v0,)})
+
+
+def test_face_tracing_refuses_a_neighbor_listed_twice_in_a_row():
+    # Both copies of v1 at v0 give the dart into v0 the same next dart, so
+    # the darts still close one face and tracing would meet none twice; the
+    # repeat is refused as the map is built.
+    v0, v1 = plain(0), plain(1)
+    message = r"face tracing revisited directed edge \(plain:0, plain:1\)"
+    with pytest.raises(GraphError, match=message):
+        face_census({v0: (v1, v1), v1: (v0,)})
+
+
+@pytest.mark.parametrize(
+    "rot, message",
+    [
+        (
+            {plain(0): (plain(1), plain(2)), plain(1): (plain(0),), plain(2): ()},
+            "dart (plain:0, plain:2) has no successor: plain:2 does not list plain:0",
+        ),
+        (
+            {plain(0): (plain(1),)},
+            "dart (plain:0, plain:1) has no successor: plain:1 does not list plain:0",
+        ),
+    ],
+    ids=["head-does-not-list-tail", "head-has-no-rotation"],
+)
+def test_face_tracing_refuses_a_dart_with_no_successor(rot, message):
+    with pytest.raises(GraphError) as info:
+        face_census(rot)
+    assert str(info.value) == message
+
+
+def reference_face_census(rot):
+    """A second face tracing to compare against: a successor dict per
+    vertex, a sorted dart list and a set of seen darts."""
+    succ_at = {}
+    for v, rotv in rot.items():
+        succ_at[v] = {u: rotv[(i + 1) % len(rotv)] for i, u in enumerate(rotv)}
+    darts = [(v, u) for v in sorted(rot) for u in rot[v]]
+    seen = set()
+    faces = []
+    for start in darts:
+        if start in seen:
+            continue
+        walk = []
+        cur = start
+        while True:
+            if cur in seen:
+                raise GraphError(f"face tracing revisited directed edge {cur}")
+            seen.add(cur)
+            walk.append(cur)
+            u, v = cur
+            cur = (v, succ_at[v][u])
+            if cur == start:
+                break
+        least = walk.index(min(walk))
+        faces.append(tuple(walk[least:] + walk[:least]))
+    faces.sort()
+    nv = len(rot)
+    ne = len(darts) // 2
+    nf = len(faces)
+    return verify.FaceCensus(faces=tuple(faces), v=nv, e=ne, f=nf, euler=nv - ne + nf)
+
+
+def shuffled_rotations(count):
+    """Seeded random graphs on 3 to 24 vertices, every neighbor order shuffled."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        n = rng.randint(3, 24)
+        density = rng.uniform(0.1, 0.6)
+        vs = [plain(i) for i in range(n)]
+        g = make_graph(vs, [e for e in itertools.combinations(vs, 2) if rng.random() < density])
+        rot = {}
+        for v in vs:
+            order = list(g.adj[v])
+            rng.shuffle(order)
+            rot[v] = tuple(order)
+        yield rot
+
+
+def test_face_census_matches_the_reference_tracing():
+    w4 = rotation_from_layout(wheel4())
+    twisted = dict(w4) | {hub(0, 0): tuple(reversed(w4[hub(0, 0)]))}
+    vs = [plain(i) for i in range(5)]
+    k5 = make_graph(vs, list(itertools.combinations(vs, 2)))
+    fixed = [
+        rotation_from_layout(square()),
+        w4,
+        rotation_from_layout(gadget()[0]),
+        rotation_from_layout(delete_vertices(mirzakhani(), [apex()])),
+        apex_embed(mirzakhani()),
+        twisted,
+        dict(k5.adj),
+    ]
+    for rot in fixed:
+        assert face_census(rot) == reference_face_census(rot)
+    genus_zero = set()
+    for seed, rot in enumerate(shuffled_rotations(200)):
+        census = face_census(rot)
+        assert census == reference_face_census(rot), seed
+        genus_zero.add(census.euler == 2)
+    assert genus_zero == {False, True}
 
 
 # ------------------------------------------------------------ outer walk
